@@ -1,10 +1,12 @@
 """Single entry point: grid / project / bench / unify / losses / eval / synth.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
-randomness is seeded, timing is opt-in, and JSON/CSV floats use shortest
-round-trip repr, so identical invocations write byte-identical files
-regardless of thread count.  Human summaries go to stdout, machine
-output to the --out/--out-dir paths, diagnostics to stderr.
+randomness is seeded, timing is opt-in, every kernel is single-threaded
+numpy with a fixed accumulation order, and JSON/CSV floats use shortest
+round-trip repr, so identical invocations write byte-identical files.
+--threads / BEVKIT_THREADS are accepted and have no effect.  Human
+summaries go to stdout, machine output to the --out/--out-dir paths,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import io as bio
-from ._backend import BackendUnavailable, set_threads, use_numba
 from .config import Config, load_config
 from .eval3d import MatchConfig, match_and_ap
 from .geom import transform_cloud
@@ -35,7 +35,7 @@ from .headmath import (
     mic_p2i_loss,
 )
 from .liftsplat import DepthDistribution, bench_projection, sparse_prune, splat_to_bev
-from .pointpipe import DepthMap, depthmap_to_cloud, unify_stats, visibility_filter
+from .pointpipe import DepthMap, depthmap_to_cloud, unify_visible
 from .rng import CounterRng
 from .synth import SceneSpec, generate
 
@@ -97,8 +97,7 @@ def _cmd_project(args, cfg: Config) -> int:
     g = _load_grid(args, cfg)
     tau = cfg.tau if args.tau is None else args.tau
     sp = sparse_prune(f_d, tau)
-    result = splat_to_bev(f_i, sp, K, g, reduce=args.reduce,
-                          uneven_bins=args.uneven_bins, backend=args.backend)
+    result = splat_to_bev(f_i, sp, K, g, reduce=args.reduce, uneven_bins=args.uneven_bins)
     bio.write_tnsr(args.out, result.bev)
     if args.stats:
         _json_dump(args.stats, {
@@ -119,8 +118,7 @@ def _cmd_bench(args, cfg: Config) -> int:
     g = _load_grid(args, cfg)
     K = bio.read_intrinsics(args.intrinsics) if args.intrinsics else _bench_intrinsics(args)
     rows = bench_projection(K, g, taus, seed=args.seed, c_i=args.ci, c_d=args.cd,
-                            h_f=args.hf, w_f=args.wf, timing=args.timing,
-                            backend=args.backend)
+                            h_f=args.hf, w_f=args.wf, timing=args.timing)
     lines = ["tau,kept_ratio,wall_ms,checksum"]
     for row in rows:
         lines.append(f"{row['tau']!r},{row['kept_ratio']!r},{row['wall_ms']!r},{row['checksum']}")
@@ -161,8 +159,7 @@ def _cmd_unify(args, cfg: Config) -> int:
     if args.pose:
         cloud = transform_cloud(cloud, bio.read_pose(args.pose))
     tol = args.tol if args.tol is not None else cfg.visibility_tol
-    stats = unify_stats(cloud, K, tol)
-    retained = visibility_filter(cloud, K, tol)
+    retained, stats = unify_visible(cloud, K, tol)
     bio.write_mmpc(args.out, retained)
     if args.stats:
         _json_dump(args.stats, stats)
@@ -296,8 +293,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bevkit", description=__doc__)
     parser.add_argument("--config", help="JSON config overriding the built-in defaults")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (fallback: ${THREADS_ENV}); results "
-                             "are bit-identical for any value")
+                        help=f"accepted and ignored (fallback: ${THREADS_ENV}); "
+                             "every kernel runs single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="build a BEV grid and print/serialize its edges")
@@ -321,7 +318,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--reduce", choices=("sum", "mean"), default="sum")
     p.add_argument("--uneven-bins", action="store_true",
                    help="uneven projection depth bins")
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.set_defaults(fn=_cmd_project)
@@ -335,7 +331,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", help="grid JSON (default: config grid)")
     p.add_argument("--intrinsics")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default=None)
     p.add_argument("--timing", action="store_true",
                    help="measure wall time into the CSV (output no longer reproducible)")
     p.add_argument("--out", required=True)
@@ -401,32 +396,24 @@ def _validate_losses_args(parser: _Parser, args) -> None:
 
 
 def main(argv=None) -> int:
-    # numba probes optional threading layers on startup; a stale TBB is
-    # expected on some hosts and irrelevant to the workqueue fallback
-    warnings.filterwarnings(
-        "ignore", message="The TBB threading layer requires TBB version")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "losses":
         _validate_losses_args(parser, args)
-    threads = args.threads
-    if threads is None:
+    if args.threads is None:
+        # validated like the flag, then ignored
         raw = os.environ.get(THREADS_ENV, "1") or "1"
         try:
-            threads = int(raw)
+            int(raw)
         except ValueError:
             print(f"bevkit: error: {THREADS_ENV}: invalid int value: {raw!r}", file=sys.stderr)
             return 1
-    set_threads(threads)
     cfg = Config()
     try:
-        # refuse an unavailable backend (flag or BEVKIT_NUMBA) before any work
-        if hasattr(args, "backend"):
-            use_numba(args.backend)
         if args.config:
             cfg = load_config(args.config)
         return args.fn(args, cfg)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, BackendUnavailable) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"bevkit: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from .geom import Box3D, box_corners
 
 _PLANE_EPS = 1e-9
 _MIN_VOLUME = 1e-12
+_YAW_TOL = 1e-9
 
 # Face quads of the documented box_corners order; each tuple walks one
 # face's boundary.
@@ -164,7 +165,17 @@ def _clip_polygon_2d(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.asarray(poly)
 
 
+def _is_pure_yaw(rot: np.ndarray) -> bool:
+    """True when rot turns about the vertical (y) axis only."""
+    axis = np.array([0.0, 1.0, 0.0])
+    return bool(np.all(np.abs(rot[1] - axis) <= _YAW_TOL)
+                and np.all(np.abs(rot[:, 1] - axis) <= _YAW_TOL))
+
+
 def _yaw_intersection_volume(a: Box3D, b: Box3D) -> float:
+    if not (_is_pure_yaw(a.rotation) and _is_pure_yaw(b.rotation)):
+        raise ValueError("method 'yaw' needs yaw-only box rotations; "
+                         "use method 'exact' for pitched or rolled boxes")
     inter2d = _clip_polygon_2d(_bev_rect(a), _bev_rect(b))
     if len(inter2d) < 3:
         return 0.0
@@ -179,8 +190,8 @@ def iou3d(a: Box3D, b: Box3D, method: str = "exact") -> float:
     """Intersection over union of two oriented boxes, in [0, 1].
 
     ``method="exact"`` handles full 3x3 rotations via polytope clipping;
-    ``method="yaw"`` is a faster path valid when both rotations are pure
-    yaw (about the vertical axis).
+    ``method="yaw"`` is a faster path for boxes whose rotations are both
+    pure yaw (about the vertical axis); it raises ValueError otherwise.
     """
     vol_a, vol_b = a.volume, b.volume
     if vol_a < _MIN_VOLUME or vol_b < _MIN_VOLUME:
@@ -250,26 +261,6 @@ def _normalize(records) -> List[Tuple[int, Box3D]]:
         else:
             img, box = rec
             out.append((int(img), box))
-    return out
-
-
-def depth_band_split(gts, preds, bands, matches: Optional[Dict[int, int]] = None):
-    """Index subsets per band: a ground truth follows its center z; a
-    prediction follows its matched ground truth when ``matches`` maps its
-    index to a GT index, otherwise its own center z."""
-    gts = _normalize(gts)
-    preds = _normalize(preds)
-    matches = matches or {}
-    gt_bands = [band_of(float(box.center[2]), bands) for _, box in gts]
-    out = []
-    for bi in range(len(bands)):
-        gt_idx = [i for i, b in enumerate(gt_bands) if b == bi]
-        pred_idx = []
-        for j, (_, box) in enumerate(preds):
-            b = gt_bands[matches[j]] if j in matches else band_of(float(box.center[2]), bands)
-            if b == bi:
-                pred_idx.append(j)
-        out.append((gt_idx, pred_idx))
     return out
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .geom import CameraIntrinsics, FeatureMap
 from .grid import UnevenGridSpec, depth_bin_centers, depth_bins_of, lateral_bins_of
 from .rng import CounterRng
@@ -128,12 +126,12 @@ def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,
 
 def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
                  g: UnevenGridSpec, reduce: str = "sum",
-                 uneven_bins: bool = False, backend: Optional[str] = None) -> SplatResult:
+                 uneven_bins: bool = False) -> SplatResult:
     """Accumulate kept entries into the BEV grid cell hit by each ray.
 
     Each entry contributes weight * F_i[:, h, w] to the cell containing
-    the 3D point at its pixel's ray and depth-bin center.  Contributions
-    are applied in ascending (cell, entry) order, so the output is
+    the 3D point at its pixel's ray and depth-bin center.  Every cell adds
+    its contributions in entry order, starting from zero, so the output is
     bit-reproducible; off-grid entries are dropped and counted.
     """
     if reduce not in ("sum", "mean"):
@@ -143,18 +141,19 @@ def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
         raise ValueError("image features do not match the pruned projection's shape")
     cells = _entry_targets(sp, K, g, uneven_bins)
     valid = cells >= 0
-    order = np.argsort(cells[valid], kind="stable")
+    cells, pixels, weights = cells[valid], sp.pixels[valid], sp.weights[valid]
     feats2d = f_i.data.reshape(c_i, h * w)
-    out, counts = _kernels.splat_accumulate(
-        feats2d, sp.pixels[valid][order], cells[valid][order],
-        sp.weights[valid][order], g.n_cells, backend=backend,
-    )
+    out = np.empty((c_i, g.n_cells))
+    # bincount adds each cell's entries in entry order
+    for c in range(c_i):
+        out[c] = np.bincount(cells, weights=weights * feats2d[c, pixels],
+                             minlength=g.n_cells)
     if reduce == "mean":
+        counts = np.bincount(cells, minlength=g.n_cells)
         occupied = counts > 0
         out[:, occupied] /= counts[occupied]
     bev = FeatureMap(out.reshape(c_i, 1, g.n_z, g.n_x))
-    n_valid = int(valid.sum())
-    return SplatResult(bev, n_valid, sp.kept - n_valid)
+    return SplatResult(bev, cells.size, sp.kept - cells.size)
 
 
 def bev_depth_confidence(f_d: DepthDistribution, K: CameraIntrinsics,
@@ -164,11 +163,16 @@ def bev_depth_confidence(f_d: DepthDistribution, K: CameraIntrinsics,
     This is the image-branch confidence field thresholded into a BEV mask
     downstream; max is the least destructive per-cell aggregate.
     """
-    dense = sparse_prune(f_d, 0.0)
-    cells = _entry_targets(dense, K, g, uneven_bins)
-    conf = np.zeros(g.n_cells)
+    # the image row never enters the target cell: reduce over rows first
+    # and scatter one (bin, column) entry each
+    c_d, _, w_f = f_d.probs.shape
+    bins, cols = np.divmod(np.arange(c_d * w_f), w_f)
+    columns = SparseProjection(cols, bins, f_d.probs.max(axis=1, initial=0.0).ravel(),
+                               (c_d, 1, w_f), 0.0)
+    cells = _entry_targets(columns, K, g, uneven_bins)
     valid = cells >= 0
-    np.maximum.at(conf, cells[valid], dense.weights[valid])
+    conf = np.zeros(g.n_cells)
+    np.maximum.at(conf, cells[valid], columns.weights[valid])
     return conf.reshape(g.n_z, g.n_x)
 
 
@@ -184,7 +188,7 @@ def synth_projection_inputs(seed: int, c_i: int, c_d: int, h_f: int, w_f: int):
 
 def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0,
                      c_i: int = 32, c_d: int = 64, h_f: int = 32, w_f: int = 32,
-                     timing: bool = False, backend: Optional[str] = None):
+                     timing: bool = False):
     """Prune + splat once per threshold; report kept ratio and checksum.
 
     The checksum column hashes the dense (tau = 0) output, so it is
@@ -196,13 +200,13 @@ def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0
     if any(t < 0 for t in taus):
         raise ValueError("tau must be non-negative")
     f_i, f_d = synth_projection_inputs(seed, c_i, c_d, h_f, w_f)
-    dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), K, g, backend=backend)
+    dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), K, g)
     checksum = hashlib.sha256(dense.bev.data.tobytes()).hexdigest()[:16]
     rows = []
     for tau in taus:
         t0 = time.perf_counter()
         sp = sparse_prune(f_d, tau)
-        splat_to_bev(f_i, sp, K, g, backend=backend)
+        splat_to_bev(f_i, sp, K, g)
         wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0.0
         rows.append({
             "tau": tau,

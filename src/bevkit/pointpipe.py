@@ -10,11 +10,9 @@ from thresholding a per-cell depth-confidence field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .geom import CameraIntrinsics, PointCloud, pixel_cell, project_points
 from .grid import UnevenGridSpec, depth_bins_of, lateral_bins_of
 
@@ -85,8 +83,7 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
     return PointCloud(np.column_stack([x, y, z, np.ones(z.size)]))
 
 
-def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1,
-                      backend: Optional[str] = None) -> PointCloud:
+def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> PointCloud:
     """Retain only points visible from the camera (per-pixel z-buffer).
 
     For each pixel cell the minimum-depth point survives, along with any
@@ -94,31 +91,40 @@ def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1,
     thickness); out-of-view points are dropped.  Output order is the
     input order restricted to survivors, making the filter idempotent.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if len(pc) == 0:
-        return pc
-    mask, _ = _visibility_mask(pc, K, tol, backend)
-    return PointCloud(pc.points[mask])
-
-
-def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float,
-                     backend: Optional[str] = None):
-    u, v, z, in_view = project_points(pc.xyz, K)
-    ui, vi = pixel_cell(u[in_view], v[in_view])
-    cells = vi * K.width + ui
-    minz = _kernels.zbuffer_min(cells, z[in_view], K.width * K.height, backend=backend)
-    survive = np.zeros(len(pc), dtype=bool)
-    survive[in_view] = z[in_view] <= minz[cells] + tol
-    return survive, in_view
+    return unify_visible(pc, K, tol)[0]
 
 
 def unify_stats(pc: PointCloud, K: CameraIntrinsics, tol: float) -> dict:
     """Counts for the unify pipeline: input / out-of-view / occluded / retained."""
     if len(pc) == 0:
         return {"input": 0, "out_of_view": 0, "occluded": 0, "retained": 0}
+    return _unify_counts(*_visibility_mask(pc, K, tol))
+
+
+def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
+    """``visibility_filter``'s survivors and ``unify_stats``' counts from
+    one z-buffer pass; returns (PointCloud, dict)."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if len(pc) == 0:
+        return pc, unify_stats(pc, K, tol)
     survive, in_view = _visibility_mask(pc, K, tol)
-    n = len(pc)
+    return PointCloud(pc.points[survive]), _unify_counts(survive, in_view)
+
+
+def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
+    u, v, z, in_view = project_points(pc.xyz, K)
+    ui, vi = pixel_cell(u[in_view], v[in_view])
+    cells = vi * K.width + ui
+    minz = np.full(K.width * K.height, np.inf)
+    np.minimum.at(minz, cells, z[in_view])
+    survive = np.zeros(len(pc), dtype=bool)
+    survive[in_view] = z[in_view] <= minz[cells] + tol
+    return survive, in_view
+
+
+def _unify_counts(survive: np.ndarray, in_view: np.ndarray) -> dict:
+    n = survive.size
     n_out = int(np.sum(~in_view))
     n_kept = int(np.sum(survive))
     return {
@@ -129,22 +135,26 @@ def unify_stats(pc: PointCloud, K: CameraIntrinsics, tol: float) -> dict:
     }
 
 
-def pillarize(pc: PointCloud, g: UnevenGridSpec,
-              backend: Optional[str] = None) -> PillarTensor:
+def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     """Group points into BEV cells and aggregate a per-pillar feature.
 
     A point lands in (depth bin of z, lateral bin of x); off-grid points
     are dropped and counted.  The feature is the per-pillar mean of
     (x, y, z, intensity) plus the mean's offset from the cell center.
+    Pillars follow ascending cell order; each sums its points in input
+    order.
     """
     i_z = depth_bins_of(pc.xyz[:, 2] if len(pc) else np.empty(0), g)
     i_x = lateral_bins_of(pc.xyz[:, 0] if len(pc) else np.empty(0), g)
     valid = (i_z >= 0) & (i_x >= 0)
     cells = (i_z[valid] * g.n_x + i_x[valid]).astype(np.int64)
-    order = np.argsort(cells, kind="stable")
-    seg_cells, counts, sums = _kernels.pillar_sums(
-        pc.points[valid][order], cells[order], backend=backend)
-    means = sums / counts[:, None] if len(seg_cells) else np.empty((0, 4))
+    seg_cells, run, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    points = pc.points[valid]
+    sums = np.column_stack([
+        np.bincount(run, weights=points[:, k], minlength=seg_cells.size)
+        for k in range(points.shape[1])
+    ])
+    means = sums / counts[:, None]
     iz = seg_cells // g.n_x
     ix = seg_cells % g.n_x
     # same arithmetic as cell_center, vectorized over pillars

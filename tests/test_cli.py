@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from bevkit import _backend
 from bevkit import io as bio
 from bevkit.cli import main
 from bevkit.config import Config, load_config, save_config
@@ -239,6 +238,24 @@ class TestEval:
         metrics = json.loads(out.read_text())
         assert set(metrics["ap_bands"]) == {"close", "distant"}
 
+    def test_yaw_method_refuses_tilted_boxes(self, capsys, tmp_path):
+        tilt = np.array([[1.0, 0.0, 0.0],
+                         [0.0, np.cos(0.4), -np.sin(0.4)],
+                         [0.0, np.sin(0.4), np.cos(0.4)]])
+        bio.write_boxes_jsonl(tmp_path / "gt.jsonl", [Box3D([0, 0, 5], [1.8, 1.5, 4.2], tilt)])
+        bio.write_boxes_jsonl(tmp_path / "pred.jsonl",
+                              [Box3D([0, 0, 5], [1.8, 1.5, 4.2], np.eye(3), score=0.9)])
+        out = tmp_path / "metrics.json"
+        argv = ["eval", "--gt", str(tmp_path / "gt.jsonl"),
+                "--pred", str(tmp_path / "pred.jsonl"), "--out", str(out)]
+        code, _, err = run(capsys, *argv, "--method", "yaw")
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bevkit:") and "yaw" in lines[0]
+        assert not out.exists()
+        code, _, _ = run(capsys, *argv, "--method", "exact")
+        assert code == 0 and out.exists()
+
 
 class TestBenchDeterminism:
     def test_identical_invocations_identical_csv(self, capsys, tmp_path):
@@ -259,52 +276,13 @@ class TestBenchDeterminism:
         assert main(["--threads", "4"] + base + ["--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
 
-    def test_backends_agree_on_checksum(self, tmp_path):
-        pytest.importorskip("numba")
-        base = ["bench", "--tau", "1e-2", "--seed", "5", "--hf", "8",
-                "--wf", "8", "--cd", "12", "--ci", "4"]
-        nb, np_ = tmp_path / "nb.csv", tmp_path / "np.csv"
-        assert main(base + ["--backend", "numba", "--out", str(nb)]) == 0
-        assert main(base + ["--backend", "numpy", "--out", str(np_)]) == 0
-        assert nb.read_bytes() == np_.read_bytes()
-
-
-@pytest.mark.skipif(_backend.HAVE_NUMBA, reason="checks the numba-absent case")
-class TestMissingBackend:
-    @pytest.fixture
-    def project_args(self, scene_dir, tmp_path):
-        fi = tmp_path / "fi.tnsr"
-        depth = bio.read_tnsr(scene_dir / "depth.tnsr")
-        bio.write_tnsr(fi, np.ones((2, 1, depth.shape[2], depth.shape[3])))
-        return ["project", "--fi", str(fi), "--fd", str(scene_dir / "depth.tnsr"),
-                "--intrinsics", str(scene_dir / "intrinsics.json")]
-
-    BENCH = ["bench", "--tau", "1e-2", "--seed", "5", "--hf", "8", "--wf", "8",
-             "--cd", "12", "--ci", "4"]
-
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    @pytest.mark.parametrize("cmd", ["bench", "project"])
-    def test_unavailable_numba_exits_two(self, capsys, tmp_path, monkeypatch,
-                                         project_args, cmd, via):
-        argv = self.BENCH if cmd == "bench" else project_args
-        if via == "flag":
-            monkeypatch.delenv(_backend.ENV_VAR, raising=False)
-            argv = argv + ["--backend", "numba"]
-        else:
-            monkeypatch.setenv(_backend.ENV_VAR, "1")
-        out = tmp_path / "o"
-        code, _, err = run(capsys, *argv, "--out", str(out))
-        assert code == 2
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("bevkit:")
-        assert "numba" in lines[0]
-        assert not out.exists()
-
-    def test_explicit_numpy_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(_backend.ENV_VAR, "1")
+    def test_backend_flag_is_gone(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
-        assert main(self.BENCH + ["--backend", "numpy", "--out", str(out)]) == 0
-        assert out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--tau", "1e-2", "--backend", "numpy", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsEnv:

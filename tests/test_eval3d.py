@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bevkit.eval3d import MatchConfig, band_of, depth_band_split, iou3d, match_and_ap
+from bevkit.eval3d import MatchConfig, band_of, iou3d, match_and_ap
 from bevkit.geom import Box3D, Pose, yaw_rotation
 
 
@@ -116,6 +116,25 @@ class TestIou3d:
             b = Box3D(a.center + rng.normal(scale=1.0, size=3), b.dims, b.rotation)
             assert iou3d(a, b, method="yaw") == pytest.approx(iou3d(a, b), abs=1e-9)
 
+    def test_yaw_path_refuses_tilted_boxes(self):
+        # a 0.4 rad tilt about x against its own yaw-only copy: exact IoU
+        # is about 0.585, which the footprint-times-height path cannot see
+        upright = Box3D([0, 0, 5], [1.8, 1.5, 4.2], yaw_rotation(0.3))
+        tilt = np.array([[1.0, 0.0, 0.0],
+                         [0.0, np.cos(0.4), -np.sin(0.4)],
+                         [0.0, np.sin(0.4), np.cos(0.4)]])
+        tilted = Box3D(upright.center, upright.dims, tilt @ upright.rotation)
+        assert iou3d(upright, tilted) == pytest.approx(0.585, abs=5e-3)
+        for a, b in ((upright, tilted), (tilted, upright), (tilted, tilted)):
+            with pytest.raises(ValueError, match="yaw"):
+                iou3d(a, b, method="yaw")
+        # rolled about the optical axis is refused too
+        roll = np.array([[np.cos(0.2), -np.sin(0.2), 0.0],
+                         [np.sin(0.2), np.cos(0.2), 0.0],
+                         [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="yaw"):
+            iou3d(upright, Box3D(upright.center, upright.dims, roll), method="yaw")
+
     def test_unknown_method_rejected(self):
         box = Box3D([0, 0, 5], [1, 1, 1], np.eye(3))
         with pytest.raises(ValueError):
@@ -224,10 +243,11 @@ class TestMatchAndAp:
 
 class TestDepthBands:
     def test_all_near(self):
-        bands = ((0.0, 10.0), (10.0, 35.0), (35.0, 80.0))
-        gts = [(0, Box3D([0, 0, 5.0], [1, 1, 1], np.eye(3)))] * 3
-        split = depth_band_split(gts, [], bands)
-        assert [len(g) for g, _ in split] == [3, 0, 0]
+        cfg = MatchConfig()
+        gts = [(0, Box3D([3.0 * k, 0, 5.0], [1, 1, 1], np.eye(3))) for k in range(3)]
+        preds = [(img, Box3D(b.center, b.dims, b.rotation, score=0.9)) for img, b in gts]
+        bands = match_and_ap(preds, gts, cfg)["ap_bands"]
+        assert bands == {"near": 1.0, "med": None, "far": None}
 
     def test_edge_goes_to_higher_band(self):
         bands = ((0.0, 10.0), (10.0, 35.0), (35.0, 80.0))
@@ -248,15 +268,17 @@ class TestDepthBands:
             assert lo <= z <= hi
 
     def test_matched_prediction_follows_gt_band(self):
-        bands = ((0.0, 10.0), (10.0, 80.0))
+        cfg = MatchConfig(iou_thresholds=(0.5,), depth_bands=((0.0, 10.0), (10.0, 80.0)),
+                          band_names=("near", "far"))
         gts = [(0, Box3D([0, 0, 9.9], [1, 1, 1], np.eye(3)))]
-        # prediction center lands in band 1 but matches the band-0 gt
+        # prediction center lands in the far band but matches the near gt
         preds = [(0, Box3D([0, 0, 10.2], [1, 1, 1], np.eye(3), score=1.0))]
-        split = depth_band_split(gts, preds, bands, matches={0: 0})
-        assert split[0] == ([0], [0])
-        assert split[1] == ([], [])
-        unmatched = depth_band_split(gts, preds, bands)
-        assert unmatched[1] == ([], [0])
+        assert match_and_ap(preds, gts, cfg)["ap_bands"] == {"near": 1.0, "far": None}
+        # unmatched (IoU 0.54 < 0.6), it follows its own center: the near
+        # gt is missed and the far band holds only a false positive
+        strict = MatchConfig(iou_thresholds=(0.6,), depth_bands=cfg.depth_bands,
+                             band_names=cfg.band_names)
+        assert match_and_ap(preds, gts, strict)["ap_bands"] == {"near": 0.0, "far": 0.0}
 
     def test_band_ap_perfect_predictions(self):
         cfg = MatchConfig()

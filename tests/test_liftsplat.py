@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bevkit import _kernels
 from bevkit.geom import CameraIntrinsics, FeatureMap, unproject_pixel
 from bevkit.grid import build_grid, depth_bin_centers, depth_bin_of, lateral_bin_of
 from bevkit.liftsplat import (
@@ -230,27 +231,61 @@ class TestSplat:
         assert result.out_of_grid > 0
         assert result.in_grid + result.out_of_grid == 3
 
-    def test_backend_invariance(self, small_k):
-        """The JIT splat kernel and the numpy fallback accumulate the
-        (cell, entry)-sorted stream in the same order.  The kernel is
-        called directly: compiled where numba is installed, the identical
-        plain-Python loop where it is not."""
-        rng = np.random.default_rng(11)
+    def test_empty_input(self, small_k):
+        # tau above every probability keeps no entry
         g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
-        logits = rng.normal(size=(6, 8, 8))
-        f_d = DepthDistribution(np.exp(logits) / np.exp(logits).sum(0, keepdims=True))
-        f_i = FeatureMap(rng.normal(size=(2, 1, 8, 8)))
-        sp = sparse_prune(f_d, 1e-3)
-        a = splat_to_bev(f_i, sp, small_k, g, backend="numpy")
-        cells = _entry_targets(sp, small_k, g, uneven_bins=False)
-        valid = cells >= 0
-        order = np.argsort(cells[valid], kind="stable")
-        starts, seg_cells = _kernels.segment_bounds(cells[valid][order])
-        b = np.zeros((2, g.n_cells))
-        _kernels._splat_njit(np.ascontiguousarray(f_i.data.reshape(2, 64)),
-                             sp.pixels[valid][order], sp.weights[valid][order],
-                             starts, seg_cells, b)
-        assert a.bev.data.tobytes() == b.reshape(2, 1, g.n_z, g.n_x).tobytes()
+        f_i, f_d = synth_projection_inputs(0, 2, 4, 8, 8)
+        sp = sparse_prune(f_d, 2.0)
+        assert sp.kept == 0
+        for reduce in ("sum", "mean"):
+            result = splat_to_bev(f_i, sp, small_k, g, reduce=reduce)
+            assert result.bev.shape == (2, 1, g.n_z, g.n_x)
+            assert not result.bev.data.any()
+            assert (result.in_grid, result.out_of_grid) == (0, 0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c_i=st.integers(1, 4), c_d=st.integers(1, 8),
+        h_f=st.integers(1, 6), w_f=st.integers(1, 6),
+        tau=st.sampled_from([0.0, 1e-3, 0.05, 0.2, 0.5]),
+        reduce=st.sampled_from(["sum", "mean"]),
+        uneven_bins=st.booleans(),
+    )
+    def test_matches_entry_order_loop(self, seed, c_i, c_d, h_f, w_f, tau, reduce,
+                                      uneven_bins):
+        """Byte-equal to adding w * F[:, p] entry by entry, in entry order,
+        and linear in the image features."""
+        K = CameraIntrinsics(fx=float(w_f), fy=float(w_f), cx=w_f / 2.0, cy=h_f / 2.0,
+                             width=w_f, height=h_f)
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        f_i, f_d = synth_projection_inputs(seed, c_i, c_d, h_f, w_f)
+        sp = sparse_prune(f_d, tau)
+        result = splat_to_bev(f_i, sp, K, g, reduce=reduce, uneven_bins=uneven_bins)
+
+        cells = _entry_targets(sp, K, g, uneven_bins)
+        feats = f_i.data.reshape(c_i, h_f * w_f)
+        expected = np.zeros((c_i, g.n_cells))
+        counts = np.zeros(g.n_cells, dtype=np.int64)
+        for e in range(sp.kept):
+            if cells[e] < 0:
+                continue
+            counts[cells[e]] += 1
+            for c in range(c_i):
+                expected[c, cells[e]] += sp.weights[e] * feats[c, sp.pixels[e]]
+        if reduce == "mean":
+            for cell in np.flatnonzero(counts):
+                expected[:, cell] /= counts[cell]
+        assert result.bev.data.tobytes() == expected.reshape(c_i, 1, g.n_z, g.n_x).tobytes()
+        assert result.in_grid == counts.sum()
+
+        other = FeatureMap(np.cos(f_i.data) - 0.5)
+        mixed = FeatureMap(2.0 * f_i.data - 3.0 * other.data)
+        lhs = splat_to_bev(mixed, sp, K, g, reduce=reduce, uneven_bins=uneven_bins)
+        rhs = (2.0 * result.bev.data
+               - 3.0 * splat_to_bev(other, sp, K, g, reduce=reduce,
+                                    uneven_bins=uneven_bins).bev.data)
+        np.testing.assert_allclose(lhs.bev.data, rhs, rtol=0, atol=1e-12 * max(1, sp.kept))
 
 
 class TestBevDepthConfidence:

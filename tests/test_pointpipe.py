@@ -10,6 +10,7 @@ from bevkit.pointpipe import (
     occupancy_mask,
     pillarize,
     unify_stats,
+    unify_visible,
     visibility_filter,
 )
 
@@ -133,6 +134,27 @@ class TestVisibilityFilter:
         assert stats["out_of_view"] + stats["occluded"] + stats["retained"] == 1000
         retained = visibility_filter(PointCloud(pts), default_k, 0.1)
         assert stats["retained"] == len(retained)
+
+    def test_untouched_cells_are_inf(self, default_k):
+        # the z-buffer starts every pixel at +inf: a lone point at any
+        # depth, however far beyond tol, is the minimum of its own pixel
+        for z in (0.05, 5.0, 500.0, 1e6):
+            pc = PointCloud([[0.0, 0.0, z, 1.0]])
+            assert len(visibility_filter(pc, default_k, tol=0.1)) == 1
+            assert unify_stats(pc, default_k, 0.1)["retained"] == 1
+
+    def test_unify_visible_is_filter_plus_stats(self, default_k):
+        rng = np.random.default_rng(5)
+        pc = PointCloud(np.column_stack([
+            rng.uniform(-5, 5, 800), rng.uniform(-5, 5, 800),
+            rng.uniform(-10, 30.0, 800), rng.uniform(size=800)]))
+        retained, stats = unify_visible(pc, default_k, 0.1)
+        assert retained.points.tobytes() == visibility_filter(pc, default_k, 0.1).points.tobytes()
+        assert stats == unify_stats(pc, default_k, 0.1)
+        empty, empty_stats = unify_visible(PointCloud.empty(), default_k, 0.1)
+        assert len(empty) == 0 and empty_stats == unify_stats(empty, default_k, 0.1)
+        with pytest.raises(ValueError):
+            unify_visible(pc, default_k, 0.0)
 
 
 class TestPillarize:
