@@ -72,7 +72,7 @@ def _cmd_grid(args, cfg: Config) -> int:
          args.z_max if args.z_max is not None else cfg.z_range[1]),
         args.n_x if args.n_x is not None else cfg.n_x,
         args.n_z if args.n_z is not None else cfg.n_z,
-        uneven=not args.even,
+        uneven=cfg.uneven_grid and not args.even,
     )
     if args.print_edges:
         for edge in g.depth_edges:
@@ -97,7 +97,8 @@ def _cmd_project(args, cfg: Config) -> int:
     g = _load_grid(args, cfg)
     tau = cfg.tau if args.tau is None else args.tau
     sp = sparse_prune(f_d, tau)
-    result = splat_to_bev(f_i, sp, K, g, reduce=args.reduce, uneven_bins=args.uneven_bins)
+    result = splat_to_bev(f_i, sp, K, g, reduce=args.reduce,
+                          uneven_bins=args.uneven_bins or cfg.uneven_projection_bins)
     bio.write_tnsr(args.out, result.bev)
     if args.stats:
         _json_dump(args.stats, {
@@ -114,6 +115,9 @@ def _cmd_project(args, cfg: Config) -> int:
 
 
 def _cmd_bench(args, cfg: Config) -> int:
+    for flag in ("hf", "wf", "cd"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be a positive size, got {getattr(args, flag)}")
     taus = args.tau if args.tau else [0.0, 1e-3, 1e-2, 1e-1]
     g = _load_grid(args, cfg)
     K = bio.read_intrinsics(args.intrinsics) if args.intrinsics else _bench_intrinsics(args)
@@ -266,7 +270,7 @@ def _cmd_eval(args, cfg: Config) -> int:
         )
     else:
         mc = cfg.match_config()
-    metrics = match_and_ap(preds, gts, mc, method=args.method)
+    metrics = match_and_ap(preds, gts, mc)
     _json_dump(args.out, metrics)
     headline = metrics["headline_ap"]
     print(f"headline AP: {'undefined' if headline is None else f'{headline:.4f}'}"
@@ -367,7 +371,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--cfg", help="JSON with iou_thresholds/depth_bands/band_names")
-    p.add_argument("--method", choices=("exact", "yaw"), default="exact")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_eval)
 

@@ -1,9 +1,12 @@
 """Oriented 3D IoU and average-precision evaluation harness.
 
-IoU is exact: one box's polytope is clipped by the other box's six face
-half-spaces (Sutherland-Hodgman on each face, cap faces rebuilt on every
-cut), and the intersection volume comes from the convex hull of the
-surviving vertices.  Matching is greedy in descending score with
+IoU is exact for full 3x3 rotations.  Two boxes whose bounding spheres
+are disjoint cannot meet, so such pairs score 0 before any geometry runs.
+Otherwise the intersection is a convex polytope whose vertices are
+enumerated directly: the corners of each box that lie inside the other,
+and the points where the 12 edges of each box cross the 6 face planes of
+the other and lie inside it.  The intersection volume is the volume of
+their convex hull.  Matching is greedy in descending score with
 all-point (precision envelope) PR integration, reported per category,
 IoU threshold, and depth band.
 """
@@ -18,97 +21,56 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .geom import Box3D, box_corners
 
-_PLANE_EPS = 1e-9
+# Slack for rounding of points that lie on a face.  Every point admitted
+# up to this far outside the other box inflates the hull, so it stays far
+# below the IoU precision the tests ask for (1e-9).
+_PLANE_EPS = 1e-12
 _MIN_VOLUME = 1e-12
-_YAW_TOL = 1e-9
 
-# Face quads of the documented box_corners order; each tuple walks one
-# face's boundary.
-_FACE_QUADS = (
-    (0, 1, 3, 2), (4, 5, 7, 6),  # x-, x+
-    (0, 1, 5, 4), (2, 3, 7, 6),  # y-, y+
-    (0, 2, 6, 4), (1, 3, 7, 5),  # z-, z+
-)
+# The 12 edges of a box as corner-index pairs in box_corners order: two
+# corners share an edge when their sign patterns differ in one axis.
+_EDGES = np.array([(i, i | bit) for i in range(8) for bit in (1, 2, 4) if not i & bit])
 
 
-def _box_halfspaces(box: Box3D):
-    """Six (normal, offset) pairs; inside is normal . x <= offset."""
-    out = []
-    for k in range(3):
-        axis = box.rotation[:, k]
-        mid = float(axis @ box.center)
-        half = 0.5 * box.dims[k]
-        out.append((axis, mid + half))
-        out.append((-axis, -mid + half))
-    return out
+def _local(points: np.ndarray, box: Box3D) -> np.ndarray:
+    """World points expressed in the box's own frame."""
+    return (points - box.center) @ box.rotation
 
 
-def _clip_polygon(poly: np.ndarray, normal: np.ndarray, offset: float):
-    """Clip one convex polygon against normal . x <= offset.
-
-    Returns (clipped polygon vertex list, crossing points on the plane).
-    """
-    dist = poly @ normal - offset
-    kept: List[np.ndarray] = []
-    crossings: List[np.ndarray] = []
-    m = len(poly)
-    for i in range(m):
-        j = (i + 1) % m
-        p_in = dist[i] <= _PLANE_EPS
-        q_in = dist[j] <= _PLANE_EPS
-        if p_in:
-            kept.append(poly[i])
-        if p_in != q_in:
-            t = dist[i] / (dist[i] - dist[j])
-            point = poly[i] + t * (poly[j] - poly[i])
-            kept.append(point)
-            crossings.append(point)
-    return kept, crossings
+def _inside(local: np.ndarray, box: Box3D) -> np.ndarray:
+    return np.all(np.abs(local) <= 0.5 * box.dims + _PLANE_EPS, axis=-1)
 
 
-def _unique_rows(points: List[np.ndarray]) -> np.ndarray:
-    arr = np.asarray(points)
-    out: List[np.ndarray] = []
-    for p in arr:
-        if not any(np.max(np.abs(p - q)) <= _PLANE_EPS for q in out):
-            out.append(p)
-    return np.asarray(out)
-
-
-def _cap_face(crossings: List[np.ndarray], normal: np.ndarray) -> Optional[np.ndarray]:
-    """Order the cut's crossing points into the polygon sealing the cut."""
-    pts = _unique_rows(crossings)
-    if len(pts) < 3:
-        return None
-    centroid = pts.mean(axis=0)
-    # planar basis orthogonal to the cut normal
-    seed = np.eye(3)[np.argmin(np.abs(normal))]
-    u = np.cross(normal, seed)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    rel = pts - centroid
-    order = np.argsort(np.arctan2(rel @ v, rel @ u), kind="stable")
-    return pts[order]
+def _edge_crossings(corners: np.ndarray, box: Box3D) -> np.ndarray:
+    """Points where the edges between ``corners`` cross the face planes
+    of ``box`` and that lie inside ``box``."""
+    local = _local(corners, box)
+    p, q = local[_EDGES[:, 0]], local[_EDGES[:, 1]]
+    half = 0.5 * box.dims
+    planes = np.concatenate([-half, half])  # x-, y-, z-, x+, y+, z+
+    axis = np.tile(np.arange(3), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (edge, plane) parameter; an edge parallel to a plane gives nan or inf
+        t = (planes - p[:, axis]) / (q - p)[:, axis]
+    hit = (t >= 0.0) & (t <= 1.0)
+    e = np.nonzero(hit)[0]
+    t = t[hit][:, None]
+    keep = _inside(p[e] + t * (q[e] - p[e]), box)
+    start, stop = corners[_EDGES[e, 0]], corners[_EDGES[e, 1]]
+    return (start + t * (stop - start))[keep]
 
 
 def _intersection_volume(a: Box3D, b: Box3D) -> float:
-    corners = box_corners(a)
-    faces: List[np.ndarray] = [corners[list(q)] for q in _FACE_QUADS]
-    for normal, offset in _box_halfspaces(b):
-        new_faces: List[np.ndarray] = []
-        crossings: List[np.ndarray] = []
-        for face in faces:
-            kept, cross = _clip_polygon(face, normal, offset)
-            crossings.extend(cross)
-            if len(kept) >= 3:
-                new_faces.append(np.asarray(kept))
-        cap = _cap_face(crossings, normal) if crossings else None
-        if cap is not None:
-            new_faces.append(cap)
-        faces = new_faces
-        if not faces:
-            return 0.0
-    vertices = _unique_rows([p for face in faces for p in face])
+    """Volume of the convex hull of every vertex of the intersection
+    polytope: corners of one box inside the other, and crossings of one
+    box's edges with the other box's face planes."""
+    ca, cb = box_corners(a), box_corners(b)
+    vertices = np.concatenate([
+        ca[_inside(_local(ca, b), b)],
+        cb[_inside(_local(cb, a), a)],
+        _edge_crossings(ca, b),
+        _edge_crossings(cb, a),
+    ])
     if len(vertices) < 4:
         return 0.0
     try:
@@ -117,92 +79,26 @@ def _intersection_volume(a: Box3D, b: Box3D) -> float:
         return 0.0  # flat or degenerate intersection has zero volume
 
 
-def _yaw_angle(rot: np.ndarray) -> float:
-    return float(np.arctan2(rot[0, 2], rot[0, 0]))
-
-
-def _bev_rect(box: Box3D) -> np.ndarray:
-    """Footprint corners in the (x, z) plane for the yaw-only fast path."""
-    theta = _yaw_angle(box.rotation)
-    c, s = np.cos(theta), np.sin(theta)
-    w2, l2 = 0.5 * box.dims[0], 0.5 * box.dims[2]
-    local = np.array([[-w2, -l2], [-w2, l2], [w2, l2], [w2, -l2]])
-    rot2d = np.array([[c, s], [-s, c]])
-    return local @ rot2d.T + np.array([box.center[0], box.center[2]])
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _clip_polygon_2d(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    # clip must wind counter-clockwise
-    if _cross2(clip[1] - clip[0], clip[2] - clip[1]) < 0:
-        clip = clip[::-1]
-    poly = list(subject)
-    for i in range(len(clip)):
-        a, bp = clip[i], clip[(i + 1) % len(clip)]
-        edge = bp - a
-        out: List[np.ndarray] = []
-        for j in range(len(poly)):
-            p, q = poly[j], poly[(j + 1) % len(poly)]
-            dp = _cross2(edge, p - a)
-            dq = _cross2(edge, q - a)
-            p_in = dp >= -_PLANE_EPS
-            q_in = dq >= -_PLANE_EPS
-            if p_in:
-                out.append(p)
-            if p_in != q_in:
-                out.append(p + (dp / (dp - dq)) * (q - p))
-        poly = out
-        if not poly:
-            return np.empty((0, 2))
-    return np.asarray(poly)
-
-
-def _is_pure_yaw(rot: np.ndarray) -> bool:
-    """True when rot turns about the vertical (y) axis only."""
-    axis = np.array([0.0, 1.0, 0.0])
-    return bool(np.all(np.abs(rot[1] - axis) <= _YAW_TOL)
-                and np.all(np.abs(rot[:, 1] - axis) <= _YAW_TOL))
-
-
-def _yaw_intersection_volume(a: Box3D, b: Box3D) -> float:
-    if not (_is_pure_yaw(a.rotation) and _is_pure_yaw(b.rotation)):
-        raise ValueError("method 'yaw' needs yaw-only box rotations; "
-                         "use method 'exact' for pitched or rolled boxes")
-    inter2d = _clip_polygon_2d(_bev_rect(a), _bev_rect(b))
-    if len(inter2d) < 3:
-        return 0.0
-    area = _polygon_area(inter2d)
-    a_lo, a_hi = a.center[1] - 0.5 * a.dims[1], a.center[1] + 0.5 * a.dims[1]
-    b_lo, b_hi = b.center[1] - 0.5 * b.dims[1], b.center[1] + 0.5 * b.dims[1]
-    h = min(a_hi, b_hi) - max(a_lo, b_lo)
-    return area * h if h > 0 else 0.0
+def _require_exact(method: str) -> None:
+    # kept so that callers passing method="exact" keep working
+    if method != "exact":
+        raise ValueError(f"unknown method {method!r}")
 
 
 def iou3d(a: Box3D, b: Box3D, method: str = "exact") -> float:
     """Intersection over union of two oriented boxes, in [0, 1].
 
-    ``method="exact"`` handles full 3x3 rotations via polytope clipping;
-    ``method="yaw"`` is a faster path for boxes whose rotations are both
-    pure yaw (about the vertical axis); it raises ValueError otherwise.
+    Exact for full 3x3 rotations.  ``method`` accepts only ``"exact"``.
     """
+    _require_exact(method)
     vol_a, vol_b = a.volume, b.volume
     if vol_a < _MIN_VOLUME or vol_b < _MIN_VOLUME:
         raise ValueError("degenerate (near-zero volume) box")
-    if method == "exact":
-        inter = _intersection_volume(a, b)
-    elif method == "yaw":
-        inter = _yaw_intersection_volume(a, b)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    inter = min(inter, vol_a, vol_b)
+    # disjoint bounding spheres: the boxes cannot meet
+    radii = 0.5 * (np.linalg.norm(a.dims) + np.linalg.norm(b.dims))
+    if np.linalg.norm(a.center - b.center) > radii:
+        return 0.0
+    inter = min(_intersection_volume(a, b), vol_a, vol_b)
     return inter / (vol_a + vol_b - inter)
 
 
@@ -268,22 +164,16 @@ def _ap_from_flags(tp_flags: np.ndarray, n_gt: int) -> Optional[float]:
     """All-point-interpolated AP from score-ordered TP flags."""
     if n_gt == 0:
         return None if tp_flags.size == 0 else 0.0
-    tp_c = np.cumsum(tp_flags.astype(np.float64))
-    fp_c = np.cumsum((~tp_flags).astype(np.float64))
-    recall = tp_c / n_gt
-    precision = tp_c / (tp_c + fp_c)
-    mrec = np.r_[0.0, recall]
-    mpre = np.r_[0.0, precision]
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
-    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+    precision = np.cumsum(tp_flags) / np.arange(1.0, tp_flags.size + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    # recall rises by 1 / n_gt at each TP: sum first, divide once
+    return float(np.sum(envelope[tp_flags]) / n_gt)
 
 
 class _CategoryEval:
     """Matching state for one category across all images."""
 
-    def __init__(self, preds, gts, method):
+    def __init__(self, preds, gts):
         # preds: list of (img, box, seq); sorted by score desc, ties by seq
         self.preds = sorted(preds, key=lambda r: (-r[1].score, r[2]))
         self.gt_by_img: Dict[int, list] = {}
@@ -291,7 +181,6 @@ class _CategoryEval:
             self.gt_by_img.setdefault(img, []).append((box, seq))
         self.n_gt = len(gts)
         self._iou_cache: Dict[int, np.ndarray] = {}
-        self.method = method
 
     def _ious(self, img: int) -> np.ndarray:
         if img not in self._iou_cache:
@@ -300,7 +189,7 @@ class _CategoryEval:
             mat = np.zeros((len(rows), len(gt_list)))
             for i, (_, pbox, _) in enumerate(rows):
                 for j, (gbox, _) in enumerate(gt_list):
-                    mat[i, j] = iou3d(pbox, gbox, method=self.method)
+                    mat[i, j] = iou3d(pbox, gbox)
             self._iou_cache[img] = mat
         return self._iou_cache[img]
 
@@ -345,7 +234,9 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     0.25 / 0.50, per-band APs, and the headline AP (mean over categories,
     then over the configured thresholds).  Categories with neither ground
     truth nor predictions are undefined (null) and excluded from means.
+    ``method`` accepts only ``"exact"``.
     """
+    _require_exact(method)
     cfg = cfg or MatchConfig()
     gts_n = _normalize(gts)
     preds_n = _normalize(preds)
@@ -357,7 +248,7 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     for cat in categories:
         p = [(img, box, i) for i, (img, box) in enumerate(preds_n) if box.category == cat]
         g = [(img, box, i) for i, (img, box) in enumerate(gts_n) if box.category == cat]
-        evals[cat] = _CategoryEval(p, g, method)
+        evals[cat] = _CategoryEval(p, g)
 
     report_thresholds = sorted(set(cfg.iou_thresholds) | {0.25, 0.50})
     per_cat: Dict[str, Dict[str, Optional[float]]] = {str(c): {} for c in categories}

@@ -68,6 +68,8 @@ def read_tnsr(path) -> FeatureMap:
         raise ValueError(f"bad TNSR header: {exc}") from exc
     if len(shape) != 4:
         raise ValueError(f"TNSR shape must have 4 axes, got {shape}")
+    if min(shape) < 0:
+        raise ValueError(f"TNSR shape must not have negative dimensions, got {shape}")
     n = int(np.prod(shape))
     if len(raw) != 8 * n:
         raise ValueError(f"TNSR payload is {len(raw)} bytes, expected {8 * n}")

@@ -31,8 +31,8 @@ class DepthDistribution:
         arr = np.ascontiguousarray(self.probs, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError("depth distribution must have shape (C_d, H_f, W_f)")
-        if np.any(arr < 0):
-            raise ValueError("depth probabilities must be non-negative")
+        if not np.all(arr >= 0):
+            raise ValueError("depth probabilities must be non-negative, not NaN")
         sums = arr.sum(axis=0)
         if arr.shape[1] * arr.shape[2] and np.max(np.abs(sums - 1.0)) > _SUM_TOL:
             raise ValueError("each pixel's depth probabilities must sum to 1")

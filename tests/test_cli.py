@@ -238,7 +238,7 @@ class TestEval:
         metrics = json.loads(out.read_text())
         assert set(metrics["ap_bands"]) == {"close", "distant"}
 
-    def test_yaw_method_refuses_tilted_boxes(self, capsys, tmp_path):
+    def test_method_flag_is_gone(self, capsys, tmp_path):
         tilt = np.array([[1.0, 0.0, 0.0],
                          [0.0, np.cos(0.4), -np.sin(0.4)],
                          [0.0, np.sin(0.4), np.cos(0.4)]])
@@ -248,13 +248,19 @@ class TestEval:
         out = tmp_path / "metrics.json"
         argv = ["eval", "--gt", str(tmp_path / "gt.jsonl"),
                 "--pred", str(tmp_path / "pred.jsonl"), "--out", str(out)]
-        code, _, err = run(capsys, *argv, "--method", "yaw")
-        assert code == 2
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("bevkit:") and "yaw" in lines[0]
-        assert not out.exists()
-        code, _, _ = run(capsys, *argv, "--method", "exact")
-        assert code == 0 and out.exists()
+        for method in ("yaw", "exact"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--method", method])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: --method {method}" in capsys.readouterr().err
+            assert not out.exists()
+        # the tilted pair overlaps with IoU 0.585: matched up to 0.55, missed at 0.6
+        (tmp_path / "eval.json").write_text(json.dumps(
+            {"iou_thresholds": [0.55, 0.6], "depth_bands": [[0, 80]], "band_names": ["all"]}))
+        code, _, _ = run(capsys, *argv, "--cfg", str(tmp_path / "eval.json"))
+        assert code == 0
+        assert json.loads(out.read_text())["ap_per_threshold"] == {
+            "0.25": 1.0, "0.50": 1.0, "0.55": 1.0, "0.60": 0.0}
 
 
 class TestBenchDeterminism:
@@ -275,6 +281,14 @@ class TestBenchDeterminism:
         assert main(["--threads", "1"] + base + ["--out", str(one)]) == 0
         assert main(["--threads", "4"] + base + ["--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--hf", "--wf", "--cd"])
+    def test_zero_size_is_named(self, capsys, tmp_path, flag):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "bench", flag, "0", "--out", str(out))
+        assert code == 2
+        assert err.strip().splitlines() == [f"bevkit: {flag} must be a positive size, got 0"]
+        assert not out.exists()
 
     def test_backend_flag_is_gone(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
@@ -339,6 +353,29 @@ class TestConfig:
         path.write_text('{"no_such_option": 1}')
         with pytest.raises(ValueError):
             load_config(path)
+
+    def test_config_even_grid_matches_even_flag(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        save_config(Config(uneven_grid=False), path)
+        via_cfg, via_flag = tmp_path / "cfg_grid.json", tmp_path / "flag_grid.json"
+        assert main(["--config", str(path), "grid", "--out", str(via_cfg)]) == 0
+        assert main(["grid", "--even", "--out", str(via_flag)]) == 0
+        assert via_cfg.read_bytes() == via_flag.read_bytes()
+
+    def test_config_uneven_projection_bins_matches_flag(self, capsys, scene_dir, tmp_path):
+        depth = bio.read_tnsr(scene_dir / "depth.tnsr")
+        fi = tmp_path / "fi.tnsr"
+        bio.write_tnsr(fi, np.ones((2, 1, depth.shape[2], depth.shape[3])))
+        path = tmp_path / "cfg.json"
+        save_config(Config(uneven_projection_bins=True), path)
+        argv = ["project", "--fi", str(fi), "--fd", str(scene_dir / "depth.tnsr"),
+                "--intrinsics", str(scene_dir / "intrinsics.json"), "--tau", "0"]
+        outs = {name: tmp_path / f"{name}.tnsr" for name in ("cfg", "flag", "even")}
+        assert main(["--config", str(path)] + argv + ["--out", str(outs["cfg"])]) == 0
+        assert main(argv + ["--uneven-bins", "--out", str(outs["flag"])]) == 0
+        assert main(argv + ["--out", str(outs["even"])]) == 0
+        assert outs["cfg"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["cfg"].read_bytes() != outs["even"].read_bytes()
 
     def test_cli_accepts_config_file(self, capsys, tmp_path):
         cfg = Config(n_z=4, z_range=(0.0, 8.0))

@@ -74,6 +74,14 @@ class TestTnsr:
         with pytest.raises(ValueError, match="payload"):
             bio.read_tnsr(path)
 
+    def test_negative_dimension_rejected_before_payload(self, tmp_path):
+        path = tmp_path / "neg.tnsr"
+        path.write_bytes(b'{"shape":[1,1,-2,256]}\n')
+        with pytest.raises(ValueError) as exc:
+            bio.read_tnsr(path)
+        assert str(exc.value) == ("TNSR shape must not have negative dimensions, "
+                                  "got (1, 1, -2, 256)")
+
 
 class TestBoxesJsonl:
     def test_round_trip_with_and_without_score(self, tmp_path):

@@ -53,6 +53,12 @@ class TestDepthDistribution:
         with pytest.raises(ValueError):
             DepthDistribution(np.array([[[-0.1]], [[1.1]]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            DepthDistribution(np.full((2, 1, 1), np.nan))
+        with pytest.raises(ValueError, match="NaN"):
+            DepthDistribution(np.array([[[np.nan]], [[1.0]]]))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             DepthDistribution(np.full((2, 1, 1), 0.4))
