@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as bio
 from .config import Config, load_config
-from .eval3d import MatchConfig, match_and_ap
+from .eval3d import match_and_ap
 from .geom import transform_cloud
 from .grid import UnevenGridSpec, build_grid
 from .headmath import (
@@ -209,10 +209,10 @@ def _losses_daln(args) -> int:
             worst = max(worst, float(np.max(np.abs(out - ref))))
         print(f"max |daln - layer_norm| at init: {worst:.3e}")
         return 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    params = DalnParams(np.asarray(d["alphas"]), np.asarray(d["betas"]))
-    out = daln(np.asarray(d["x"], dtype=np.float64), params, np.asarray(d["confidence"]))
+    d = bio.read_json_object(args.input)
+    alphas, betas, x, confidence = (bio.json_array(d[k], k)
+                                    for k in ("alphas", "betas", "x", "confidence"))
+    out = daln(x, DalnParams(alphas, betas), confidence)
     if args.out:
         _json_dump(args.out, {"output": out.tolist()})
     print(json.dumps({"output": out.tolist()}))
@@ -220,15 +220,18 @@ def _losses_daln(args) -> int:
 
 
 def _losses_calign(args, cfg: Config) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = bio.read_json_object(args.input)
     space = LabelSpace(
-        {int(k): frozenset(v) for k, v in d["spaces"].items()},
-        background=int(d["background"]),
-        gamma=float(d.get("gamma", cfg.gamma)),
+        {int(k): frozenset(bio.json_value(c, int, f"spaces[{k!r}]")
+                           for c in bio.json_value(v, list, f"spaces[{k!r}]"))
+         for k, v in bio.json_value(d["spaces"], dict, "spaces").items()},
+        background=bio.json_value(d["background"], int, "background"),
+        gamma=bio.json_value(d.get("gamma", cfg.gamma), float, "gamma"),
     )
     scaled = class_alignment_loss(
-        d["losses"], d["predicted"], d["labels"], space, int(d["dataset"]))
+        bio.json_array(d["losses"], "losses"), bio.json_array(d["predicted"], "predicted", int),
+        bio.json_array(d["labels"], "labels", int), space,
+        bio.json_value(d["dataset"], int, "dataset"))
     if args.out:
         _json_dump(args.out, {"scaled": scaled.tolist(), "total": float(scaled.sum())})
     print(f"loss {float(scaled.sum())!r}")
@@ -260,17 +263,7 @@ def _losses_mic(args) -> int:
 def _cmd_eval(args, cfg: Config) -> int:
     gts = bio.read_boxes_jsonl(args.gt)
     preds = bio.read_boxes_jsonl(args.pred)
-    if args.cfg:
-        with open(args.cfg, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        mc = MatchConfig(
-            tuple(raw.get("iou_thresholds", cfg.iou_thresholds)),
-            tuple(tuple(b) for b in raw.get("depth_bands", cfg.depth_bands)),
-            tuple(raw.get("band_names", cfg.band_names)),
-        )
-    else:
-        mc = cfg.match_config()
-    metrics = match_and_ap(preds, gts, mc)
+    metrics = match_and_ap(preds, gts, cfg.match_config())
     _json_dump(args.out, metrics)
     headline = metrics["headline_ap"]
     print(f"headline AP: {'undefined' if headline is None else f'{headline:.4f}'}"
@@ -367,10 +360,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_losses)
 
-    p = sub.add_parser("eval", help="3D IoU average-precision evaluation")
+    p = sub.add_parser("eval", help="3D IoU average-precision evaluation; thresholds "
+                       "and depth bands come from --config")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--cfg", help="JSON with iou_thresholds/depth_bands/band_names")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_eval)
 

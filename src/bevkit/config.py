@@ -14,6 +14,7 @@ from typing import Tuple
 
 from .eval3d import MatchConfig
 from .grid import UnevenGridSpec, build_grid
+from .io import json_value
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,10 @@ class Config:
 
     def __post_init__(self):
         for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
-            if not hi > lo:
-                raise ValueError(f"{name} must be non-degenerate")
-            object.__setattr__(self, name, (float(lo), float(hi)))
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or not pair[1] > pair[0]:
+                raise ValueError(f"{name} must be a non-degenerate (lo, hi) pair")
+            object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError("grid resolution must be >= 1")
         if self.tau < 0 or self.epsilon < 0:
@@ -68,17 +69,29 @@ class Config:
 
     @classmethod
     def from_json(cls, text: str) -> "Config":
-        raw = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        raw = json_value(json.loads(text), dict, "config")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            _check_like(value, fields[key].default, f"config key {key!r}")
         for key in ("x_range", "y_range", "z_range", "iou_thresholds", "band_names"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         if "depth_bands" in raw:
             raw["depth_bands"] = tuple(tuple(b) for b in raw["depth_bands"])
         return cls(**raw)
+
+
+def _check_like(value, default, name: str) -> None:
+    """Refuse a JSON value whose type differs from the default's: a list
+    for a tuple, each item checked against the tuple's first item."""
+    if isinstance(default, tuple):
+        for i, item in enumerate(json_value(value, list, name)):
+            _check_like(item, default[0], f"{name}[{i}]")
+    else:
+        json_value(value, type(default), name)
 
 
 def load_config(path) -> Config:

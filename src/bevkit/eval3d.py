@@ -114,20 +114,16 @@ class MatchConfig:
     iou_thresholds: tuple = _DEFAULT_THRESHOLDS
     depth_bands: tuple = _DEFAULT_BANDS
     band_names: tuple = _DEFAULT_BAND_NAMES
-    score_order: str = "descending"
 
     def __post_init__(self):
-        if self.score_order != "descending":
-            raise ValueError("matching is defined for descending score order only")
         thr = tuple(float(t) for t in self.iou_thresholds)
         if not thr or any(not (0.0 < t < 1.0) for t in thr):
             raise ValueError("iou thresholds must lie in (0, 1)")
         if any(t2 <= t1 for t1, t2 in zip(thr, thr[1:])):
             raise ValueError("iou thresholds must be strictly increasing")
-        bands = tuple((float(lo), float(hi)) for lo, hi in self.depth_bands)
-        for lo, hi in bands:
-            if hi <= lo:
-                raise ValueError("each depth band needs lo < hi")
+        bands = tuple(tuple(float(v) for v in band) for band in self.depth_bands)
+        if any(len(band) != 2 or band[1] <= band[0] for band in bands):
+            raise ValueError("each depth band needs a (lo, hi) pair with lo < hi")
         if any(b2[0] < b1[1] for b1, b2 in zip(bands, bands[1:])):
             raise ValueError("depth bands must be sorted and non-overlapping")
         names = tuple(str(n) for n in self.band_names)
@@ -170,58 +166,38 @@ def _ap_from_flags(tp_flags: np.ndarray, n_gt: int) -> Optional[float]:
     return float(np.sum(envelope[tp_flags]) / n_gt)
 
 
-class _CategoryEval:
-    """Matching state for one category across all images."""
+class _Category:
+    """One category, built once: its predictions in descending score
+    (ties in input order), each with the ground truths of its image and
+    their IoUs, and the depth band of every box."""
 
-    def __init__(self, preds, gts):
-        # preds: list of (img, box, seq); sorted by score desc, ties by seq
-        self.preds = sorted(preds, key=lambda r: (-r[1].score, r[2]))
-        self.gt_by_img: Dict[int, list] = {}
-        for img, box, seq in gts:
-            self.gt_by_img.setdefault(img, []).append((box, seq))
-        self.n_gt = len(gts)
-        self._iou_cache: Dict[int, np.ndarray] = {}
+    def __init__(self, preds, gts, bands):
+        # preds, gts: (image, box) pairs in input order
+        order = np.argsort([-box.score for _, box in preds], kind="stable")
+        preds = [preds[i] for i in order]
+        gts_of: Dict[int, List[int]] = {}
+        for j, (img, _) in enumerate(gts):
+            gts_of.setdefault(img, []).append(j)
+        self.candidates = [np.array(gts_of.get(img, []), dtype=np.int64) for img, _ in preds]
+        self.ious = [np.array([iou3d(box, gts[j][1]) for j in cand])
+                     for (_, box), cand in zip(preds, self.candidates)]
+        self.gt_band = np.array([band_of(float(b.center[2]), bands) for _, b in gts],
+                                dtype=np.int64)
+        self.pred_band = np.array([band_of(float(b.center[2]), bands) for _, b in preds],
+                                  dtype=np.int64)
 
-    def _ious(self, img: int) -> np.ndarray:
-        if img not in self._iou_cache:
-            rows = [r for r in self.preds if r[0] == img]
-            gt_list = self.gt_by_img.get(img, [])
-            mat = np.zeros((len(rows), len(gt_list)))
-            for i, (_, pbox, _) in enumerate(rows):
-                for j, (gbox, _) in enumerate(gt_list):
-                    mat[i, j] = iou3d(pbox, gbox)
-            self._iou_cache[img] = mat
-        return self._iou_cache[img]
-
-    def match(self, threshold: float):
-        """Greedy score-descending matching at one IoU threshold.
-
-        Returns (tp flags, matched-gt z or nan, pred z) aligned with the
-        score-sorted prediction order.
-        """
-        row_of: Dict[int, int] = {}
-        taken: Dict[int, np.ndarray] = {
-            img: np.zeros(len(g), dtype=bool) for img, g in self.gt_by_img.items()
-        }
-        tp = np.zeros(len(self.preds), dtype=bool)
-        gt_z = np.full(len(self.preds), np.nan)
-        pred_z = np.array([float(r[1].center[2]) for r in self.preds])
-        for i, (img, _, _) in enumerate(self.preds):
-            row = row_of.get(img, 0)
-            row_of[img] = row + 1
-            gt_list = self.gt_by_img.get(img)
-            if not gt_list:
-                continue
-            ious = self._ious(img)[row]
-            free = ~taken[img]
-            candidates = np.where(free & (ious >= threshold))[0]
-            if candidates.size == 0:
-                continue
-            j = candidates[np.argmax(ious[candidates])]
-            taken[img][j] = True
-            tp[i] = True
-            gt_z[i] = float(gt_list[j][0].center[2])
-        return tp, gt_z, pred_z
+    def match(self, threshold: float) -> np.ndarray:
+        """Greedy matching in score order at one IoU threshold: the index
+        of the ground truth each prediction takes, or -1 for none."""
+        taken = np.zeros(self.gt_band.size, dtype=bool)
+        matched = np.full(len(self.ious), -1, dtype=np.int64)
+        for i, (cand, ious) in enumerate(zip(self.candidates, self.ious)):
+            free = (ious >= threshold) & ~taken[cand]
+            if free.any():
+                j = cand[free][np.argmax(ious[free])]
+                taken[j] = True
+                matched[i] = j
+        return matched
 
 
 def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
@@ -244,11 +220,11 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
         raise ValueError("all predictions must carry a score")
 
     categories = sorted({b.category for _, b in gts_n} | {b.category for _, b in preds_n})
-    evals = {}
-    for cat in categories:
-        p = [(img, box, i) for i, (img, box) in enumerate(preds_n) if box.category == cat]
-        g = [(img, box, i) for i, (img, box) in enumerate(gts_n) if box.category == cat]
-        evals[cat] = _CategoryEval(p, g)
+    by_cat = {
+        cat: _Category([r for r in preds_n if r[1].category == cat],
+                       [r for r in gts_n if r[1].category == cat], cfg.depth_bands)
+        for cat in categories
+    }
 
     report_thresholds = sorted(set(cfg.iou_thresholds) | {0.25, 0.50})
     per_cat: Dict[str, Dict[str, Optional[float]]] = {str(c): {} for c in categories}
@@ -258,15 +234,19 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     for thr in report_thresholds:
         cat_aps = []
         for cat in categories:
-            ev = evals[cat]
-            tp, gt_z, pred_z = ev.match(thr)
-            ap = _ap_from_flags(tp, ev.n_gt)
+            c = by_cat[cat]
+            matched = c.match(thr)
+            tp = matched >= 0
+            ap = _ap_from_flags(tp, c.gt_band.size)
             per_cat[str(cat)][f"{thr:.2f}"] = ap
             if ap is not None:
                 cat_aps.append(ap)
             if thr in cfg.iou_thresholds:
-                for bi, name in enumerate(cfg.band_names):
-                    band_ap = _band_ap(ev, tp, gt_z, pred_z, cfg.depth_bands, bi)
+                # a match counts in its ground truth's band, a miss in its own
+                band = c.pred_band.copy()
+                band[tp] = c.gt_band[matched[tp]]
+                for b, name in enumerate(cfg.band_names):
+                    band_ap = _ap_from_flags(tp[band == b], int(np.sum(c.gt_band == b)))
                     if band_ap is not None:
                         band_aps[name].append(band_ap)
         mean_at[thr] = float(np.mean(cat_aps)) if cat_aps else None
@@ -287,14 +267,3 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     }
     return result
 
-
-def _band_ap(ev: _CategoryEval, tp: np.ndarray, gt_z: np.ndarray,
-             pred_z: np.ndarray, bands, band_index: int) -> Optional[float]:
-    gt_zs = [float(box.center[2]) for img in sorted(ev.gt_by_img)
-             for box, _ in ev.gt_by_img[img]]
-    n_gt_band = sum(1 for z in gt_zs if band_of(z, bands) == band_index)
-    follow = np.array([band_of(z, bands) if np.isfinite(z) else -1 for z in gt_z],
-                      dtype=np.int64)
-    own = np.array([band_of(z, bands) for z in pred_z], dtype=np.int64)
-    in_band = np.where(tp, follow, own) == band_index
-    return _ap_from_flags(tp[in_band], n_gt_band)

@@ -196,13 +196,6 @@ class PointCloud:
     def empty(cls) -> "PointCloud":
         return cls(np.empty((0, 4)))
 
-    @classmethod
-    def from_xyz(cls, xyz, intensity=None) -> "PointCloud":
-        xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-        if intensity is None:
-            intensity = np.ones(len(xyz))
-        return cls(np.column_stack([xyz, intensity]))
-
 
 class Projection(NamedTuple):
     u: float

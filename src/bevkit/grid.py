@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import json_array, json_value
+
 OUT_OF_RANGE = -1
 
 
@@ -43,6 +45,16 @@ class UnevenGridSpec:
     depth_edges: np.ndarray
 
     def __post_init__(self):
+        for name in ("n_x", "n_z"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        for name in ("x_range", "z_range"):
+            pair = tuple(float(v) for v in np.ravel(getattr(self, name)))
+            if len(pair) != 2:
+                raise ValueError(f"{name} must be a (lo, hi) pair")
+            object.__setattr__(self, name, pair)
         edges = np.asarray(self.depth_edges, dtype=np.float64)
         if edges.shape != (self.n_z + 1,):
             raise ValueError("depth_edges must have n_z + 1 entries")
@@ -51,17 +63,11 @@ class UnevenGridSpec:
         if not np.all(np.diff(edges) > 0):
             raise ValueError("depth_edges must be strictly increasing")
         edges.setflags(write=False)
-        object.__setattr__(self, "x_range", tuple(float(v) for v in self.x_range))
-        object.__setattr__(self, "z_range", tuple(float(v) for v in self.z_range))
         object.__setattr__(self, "depth_edges", edges)
 
     @property
     def lateral_width(self) -> float:
         return (self.x_range[1] - self.x_range[0]) / self.n_x
-
-    @property
-    def lateral_edges(self) -> np.ndarray:
-        return self.x_range[0] + self.lateral_width * np.arange(self.n_x + 1)
 
     @property
     def n_cells(self) -> int:
@@ -79,11 +85,10 @@ class UnevenGridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "UnevenGridSpec":
-        d = json.loads(text)
+        d = json_value(json.loads(text), dict, "grid")
         return cls(
-            tuple(d["x_range"]), tuple(d["z_range"]),
-            int(d["n_x"]), int(d["n_z"]),
-            np.asarray(d["depth_edges"], dtype=np.float64),
+            json_array(d["x_range"], "x_range"), json_array(d["z_range"], "z_range"),
+            d["n_x"], d["n_z"], json_array(d["depth_edges"], "depth_edges"),
         )
 
 

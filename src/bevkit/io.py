@@ -10,6 +10,9 @@ order.
 
 Boxes: JSON lines with keys ``center``, ``dims``, ``R`` (9 values,
 row-major), ``category``, optional ``score`` and ``image``.
+
+Every JSON reader checks the type of each value it reads, so a malformed
+file raises a ValueError that names the offending key.
 """
 
 from __future__ import annotations
@@ -23,6 +26,43 @@ import numpy as np
 from .geom import Box3D, CameraIntrinsics, FeatureMap, PointCloud, Pose
 
 MMPC_MAGIC = b"MMPC"
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def json_value(value, kind: type, name: str):
+    """``value`` parsed from JSON if it is of ``kind`` (bool, int, float,
+    str, list or dict); otherwise a ValueError naming ``name``.  A bool is
+    neither an int nor a float, and a float may be written as an integer."""
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def json_array(value, name: str, kind: type = float) -> np.ndarray:
+    """A JSON number or rectangular nest of lists of numbers as a float64
+    array (int64 for ``kind=int``); otherwise a ValueError naming ``name``."""
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return all(numeric(x) for x in v)
+        return isinstance(v, (int, float) if kind is float else int) and not isinstance(v, bool)
+
+    if numeric(value):
+        try:
+            return np.asarray(value, dtype=np.float64 if kind is float else np.int64)
+        except (ValueError, OverflowError):
+            pass  # ragged nesting or an integer beyond int64
+    what = "integers" if kind is int else "numbers"
+    raise ValueError(f"{name} must be {what} in a rectangular list, got {value!r}")
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored in ``path``; any other top-level value is a
+    ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json_value(json.load(fh), dict, f"{path}: top level")
 
 
 def write_mmpc(path, pc: PointCloud) -> None:
@@ -63,7 +103,9 @@ def read_tnsr(path) -> FeatureMap:
         header = fh.readline()
         raw = fh.read()
     try:
-        shape = tuple(int(v) for v in json.loads(header.decode("utf-8"))["shape"])
+        fields = json_value(json.loads(header.decode("utf-8")), dict, "header")
+        shape = tuple(json_value(v, int, "shape entry")
+                      for v in json_value(fields["shape"], list, "shape"))
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise ValueError(f"bad TNSR header: {exc}") from exc
     if len(shape) != 4:
@@ -91,28 +133,22 @@ def box_to_dict(box: Box3D, image: Optional[int] = None) -> dict:
 
 
 def box_from_dict(d: dict) -> Tuple[int, Box3D]:
-    rot = np.asarray(d["R"], dtype=np.float64).reshape(3, 3)
+    d = json_value(d, dict, "record")
     box = Box3D(
-        np.asarray(d["center"], dtype=np.float64),
-        np.asarray(d["dims"], dtype=np.float64),
-        rot,
-        category=int(d.get("category", 0)),
-        score=(None if d.get("score") is None else float(d["score"])),
+        json_array(d["center"], "center"),
+        json_array(d["dims"], "dims"),
+        json_array(d["R"], "R").reshape(3, 3),
+        category=json_value(d.get("category", 0), int, "category"),
+        score=(None if d.get("score") is None else json_value(d["score"], float, "score")),
     )
-    return int(d.get("image", 0)), box
+    return json_value(d.get("image", 0), int, "image"), box
 
 
-def write_boxes_jsonl(path, boxes: Sequence, images: Optional[Sequence[int]] = None) -> None:
-    """``boxes`` may be Box3D or (image_id, Box3D) pairs; explicit
-    ``images`` ids override."""
+def write_boxes_jsonl(path, boxes: Sequence) -> None:
+    """``boxes`` may be Box3D or (image_id, Box3D) pairs."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, rec in enumerate(boxes):
-            if isinstance(rec, Box3D):
-                img, box = (None, rec)
-            else:
-                img, box = rec
-            if images is not None:
-                img = images[i]
+        for rec in boxes:
+            img, box = (None, rec) if isinstance(rec, Box3D) else rec
             fh.write(json.dumps(box_to_dict(box, img), separators=(",", ":")))
             fh.write("\n")
 
@@ -140,12 +176,14 @@ def write_intrinsics(path, K: CameraIntrinsics) -> None:
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return CameraIntrinsics(
-        fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
-        width=int(d["width"]), height=int(d["height"]),
-    )
+    d = read_json_object(path)
+    try:
+        return CameraIntrinsics(
+            **{k: json_value(d[k], float, k) for k in ("fx", "fy", "cx", "cy")},
+            **{k: json_value(d[k], int, k) for k in ("width", "height")},
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad intrinsics: {exc}") from exc
 
 
 def write_pose(path, pose: Pose) -> None:
@@ -156,7 +194,8 @@ def write_pose(path, pose: Pose) -> None:
 
 
 def read_pose(path) -> Pose:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return Pose(np.asarray(d["R"], dtype=np.float64).reshape(3, 3),
-                np.asarray(d["t"], dtype=np.float64))
+    d = read_json_object(path)
+    try:
+        return Pose(json_array(d["R"], "R").reshape(3, 3), json_array(d["t"], "t"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad pose: {exc}") from exc

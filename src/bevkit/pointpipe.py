@@ -96,23 +96,20 @@ def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> 
 
 def unify_stats(pc: PointCloud, K: CameraIntrinsics, tol: float) -> dict:
     """Counts for the unify pipeline: input / out-of-view / occluded / retained."""
-    if len(pc) == 0:
-        return {"input": 0, "out_of_view": 0, "occluded": 0, "retained": 0}
     return _unify_counts(*_visibility_mask(pc, K, tol))
 
 
 def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     """``visibility_filter``'s survivors and ``unify_stats``' counts from
     one z-buffer pass; returns (PointCloud, dict)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if len(pc) == 0:
-        return pc, unify_stats(pc, K, tol)
     survive, in_view = _visibility_mask(pc, K, tol)
     return PointCloud(pc.points[survive]), _unify_counts(survive, in_view)
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
+    """The one z-buffer pass behind every visibility entry point."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     u, v, z, in_view = project_points(pc.xyz, K)
     ui, vi = pixel_cell(u[in_view], v[in_view])
     cells = vi * K.width + ui
@@ -148,10 +145,12 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     i_x = lateral_bins_of(pc.xyz[:, 0] if len(pc) else np.empty(0), g)
     valid = (i_z >= 0) & (i_x >= 0)
     cells = (i_z[valid] * g.n_x + i_x[valid]).astype(np.int64)
-    seg_cells, run, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    counts = np.bincount(cells, minlength=g.n_cells)
+    seg_cells = np.flatnonzero(counts)
+    counts = counts[seg_cells]
     points = pc.points[valid]
     sums = np.column_stack([
-        np.bincount(run, weights=points[:, k], minlength=seg_cells.size)
+        np.bincount(cells, weights=points[:, k], minlength=g.n_cells)[seg_cells]
         for k in range(points.shape[1])
     ])
     means = sums / counts[:, None]

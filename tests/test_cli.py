@@ -55,6 +55,50 @@ class TestExitCodes:
                      "--tol", "-1", "--out", str(tmp_path / "o.mmpc")])
         assert code == 2
 
+    @pytest.mark.parametrize("case, key, change", [
+        ("config", "'tau'", {"tau": "abc"}),
+        ("config", "'x_range'", {"x_range": 5}),
+        ("config", "x_range", {"x_range": [1, 2, 3]}),
+        ("config", "'n_x'", {"n_x": 60.5}),
+        ("config", "'n_x'", {"n_x": True}),
+        ("boxes", "image", {"image": None}),
+        ("boxes", "category", {"category": [1]}),
+        ("intrinsics", "width", {"width": None}),
+        ("intrinsics", "top level", [1]),
+        ("calign", "spaces", {"spaces": [1]}),
+        ("pose", "bad.json: bad pose", {"R": [1]}),
+    ])
+    def test_malformed_json_is_a_data_error(self, capsys, tmp_path, scene_dir, case, key,
+                                            change):
+        # one key of a valid file gets a wrong-typed value (a list replaces the file)
+        valid = {
+            "config": {},
+            "boxes": json.loads((scene_dir / "boxes.jsonl").read_text().splitlines()[0]),
+            "intrinsics": json.loads((scene_dir / "intrinsics.json").read_text()),
+            "calign": {"spaces": {"0": [1]}, "background": 0, "losses": [1.0],
+                       "predicted": [1], "labels": [0], "dataset": 0},
+            "pose": {"R": np.eye(3).ravel().tolist(), "t": [0.0, 0.0, 0.0]},
+        }[case]
+        bad, out, pred = tmp_path / "bad.json", tmp_path / "out", tmp_path / "pred.jsonl"
+        bad.write_text(json.dumps({**valid, **change} if isinstance(change, dict) else change))
+        bio.write_boxes_jsonl(pred, [Box3D(b.center, b.dims, b.rotation, b.category, 0.5)
+                                     for _, b in bio.read_boxes_jsonl(scene_dir / "boxes.jsonl")])
+        argv = {
+            "config": ["--config", str(bad), "grid", "--out", str(out)],
+            "boxes": ["eval", "--gt", str(bad), "--pred", str(pred), "--out", str(out)],
+            "intrinsics": ["unify", "--in", str(scene_dir / "cloud.mmpc"),
+                           "--intrinsics", str(bad), "--out", str(out)],
+            "calign": ["losses", "calign", "--input", str(bad), "--out", str(out)],
+            "pose": ["unify", "--in", str(scene_dir / "cloud.mmpc"), "--intrinsics",
+                     str(scene_dir / "intrinsics.json"), "--pose", str(bad), "--out", str(out)],
+        }[case]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bevkit: ")
+        assert key in lines[0]
+        assert not out.exists()
+
 
 class TestGrid:
     def test_print_edges_defaults(self, capsys):
@@ -231,12 +275,23 @@ class TestEval:
                "band_names": ["close", "distant"]}
         (tmp_path / "eval.json").write_text(json.dumps(cfg))
         out = tmp_path / "metrics.json"
-        code, _, _ = run(capsys, "eval", "--gt", str(tmp_path / "gt.jsonl"),
-                         "--pred", str(tmp_path / "pred.jsonl"),
-                         "--cfg", str(tmp_path / "eval.json"), "--out", str(out))
+        code, _, _ = run(capsys, "--config", str(tmp_path / "eval.json"),
+                         "eval", "--gt", str(tmp_path / "gt.jsonl"),
+                         "--pred", str(tmp_path / "pred.jsonl"), "--out", str(out))
         assert code == 0
         metrics = json.loads(out.read_text())
         assert set(metrics["ap_bands"]) == {"close", "distant"}
+
+    def test_cfg_flag_is_gone(self, capsys, tmp_path):
+        bio.write_boxes_jsonl(tmp_path / "gt.jsonl", [Box3D([0, 0, 5], [2, 2, 2], np.eye(3))])
+        (tmp_path / "eval.json").write_text(json.dumps({"iou_thresholds": [0.5]}))
+        out = tmp_path / "metrics.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gt", str(tmp_path / "gt.jsonl"), "--pred", str(tmp_path / "gt.jsonl"),
+                  "--cfg", str(tmp_path / "eval.json"), "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cfg" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_method_flag_is_gone(self, capsys, tmp_path):
         tilt = np.array([[1.0, 0.0, 0.0],
@@ -257,7 +312,7 @@ class TestEval:
         # the tilted pair overlaps with IoU 0.585: matched up to 0.55, missed at 0.6
         (tmp_path / "eval.json").write_text(json.dumps(
             {"iou_thresholds": [0.55, 0.6], "depth_bands": [[0, 80]], "band_names": ["all"]}))
-        code, _, _ = run(capsys, *argv, "--cfg", str(tmp_path / "eval.json"))
+        code, _, _ = run(capsys, "--config", str(tmp_path / "eval.json"), *argv)
         assert code == 0
         assert json.loads(out.read_text())["ap_per_threshold"] == {
             "0.25": 1.0, "0.50": 1.0, "0.55": 1.0, "0.60": 0.0}

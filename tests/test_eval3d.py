@@ -392,3 +392,97 @@ class TestMatchConfigValidation:
     def test_band_names_must_align(self):
         with pytest.raises(ValueError):
             MatchConfig(depth_bands=((0.0, 10.0),), band_names=("a", "b"))
+
+
+def reference_match_and_ap(preds, gts, cfg: MatchConfig) -> dict:
+    """Greedy matching per image in stable score order, written out plainly.
+
+    A matched prediction counts in its ground truth's depth band and an
+    unmatched one in its own centre's; AP sums the precision envelope at
+    each true positive and divides by the ground-truth count."""
+    def ap(flags, n_gt):
+        if n_gt == 0:
+            return None if not flags else 0.0
+        precision = [sum(flags[:k + 1]) / (k + 1) for k in range(len(flags))]
+        return sum(max(precision[k:]) for k, f in enumerate(flags) if f) / n_gt
+
+    def band(box):
+        return band_of(float(box.center[2]), cfg.depth_bands)
+
+    cats = sorted({b.category for _, b in preds + gts})
+    thresholds = sorted(set(cfg.iou_thresholds) | {0.25, 0.5})
+    per_cat, mean_at, band_aps = {str(c): {} for c in cats}, {}, {n: [] for n in cfg.band_names}
+    for thr in thresholds:
+        aps = []
+        for cat in cats:
+            ranked = sorted([r for r in preds if r[1].category == cat], key=lambda r: -r[1].score)
+            truth = [r for r in gts if r[1].category == cat]
+            taken, flags, bands = set(), [], []
+            for img, p in ranked:
+                best, best_iou = None, thr
+                for j, (g_img, g) in enumerate(truth):
+                    iou = iou3d(p, g) if g_img == img and j not in taken else -1.0
+                    if iou >= best_iou and (best is None or iou > best_iou):
+                        best, best_iou = j, iou
+                taken |= {best} - {None}
+                flags.append(best is not None)
+                bands.append(band(p) if best is None else band(truth[best][1]))
+            per_cat[str(cat)][f"{thr:.2f}"] = a = ap(flags, len(truth))
+            aps += [a] if a is not None else []
+            for b, name in enumerate(cfg.band_names if thr in cfg.iou_thresholds else ()):
+                a = ap([f for f, fb in zip(flags, bands) if fb == b],
+                       sum(band(g) == b for _, g in truth))
+                band_aps[name] += [a] if a is not None else []
+        mean_at[thr] = float(np.mean(aps)) if aps else None
+    headline = [mean_at[t] for t in cfg.iou_thresholds if mean_at[t] is not None]
+    return {"per_category": per_cat,
+            "ap_per_threshold": {f"{t:.2f}": mean_at[t] for t in thresholds},
+            "ap25": mean_at[0.25], "ap50": mean_at[0.5],
+            "ap_bands": {n: float(np.mean(v)) if v else None for n, v in band_aps.items()},
+            "headline_ap": float(np.mean(headline)) if headline else None}
+
+
+def assert_same_metrics(actual, expected):
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys()
+        for key in expected:
+            assert_same_metrics(actual[key], expected[key])
+    elif expected is None:
+        assert actual is None
+    else:
+        assert actual is not None and abs(actual - expected) <= 1e-12
+
+
+@st.composite
+def eval_inputs(draw):
+    """1-3 images and 1-3 categories of unit cubes on a coarse lattice, so
+    overlaps, equal scores and band edges are common; predictions may use
+    one category more than the ground truth has."""
+    n_img, n_cat = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x = st.sampled_from([0.0, 0.3, 0.6, 3.0])
+    z = st.sampled_from([2.0, 3.8, 4.2, 5.0, 6.2, 8.0])  # 4.2 and 5.0 lie in the gap
+
+    def box(cat, xv, zv, score=None):
+        return Box3D([xv, 0.0, zv], [1.0, 1.0, 1.0], np.eye(3), cat, score)
+
+    gts = draw(st.lists(st.builds(lambda i, c, xv, zv: (i, box(c, xv, zv)),
+                                  st.integers(0, n_img - 1), st.integers(0, n_cat - 1), x, z),
+                        max_size=6))
+    preds = draw(st.lists(st.builds(lambda i, c, xv, zv, s: (i, box(c, xv, zv, s)),
+                                    st.integers(0, n_img - 1), st.integers(0, n_cat), x, z,
+                                    st.sampled_from([0.2, 0.5, 0.5, 0.9])),
+                          max_size=8))
+    thresholds = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7]), min_size=1, unique=True))
+    return preds, gts, tuple(sorted(thresholds))
+
+
+class TestMatchingReference:
+    @given(eval_inputs())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_plain_reference(self, case):
+        preds, gts, thresholds = case
+        cfg = MatchConfig(iou_thresholds=thresholds, depth_bands=((0.0, 4.0), (6.0, 10.0)),
+                          band_names=("near", "far"))
+        result = match_and_ap(preds, gts, cfg)
+        expected = reference_match_and_ap(preds, gts, cfg)
+        assert_same_metrics({k: result[k] for k in expected}, expected)

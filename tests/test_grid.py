@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,24 @@ class TestSerialization:
 
     def test_edges_are_explicit_in_json(self, reference_grid):
         assert '"depth_edges"' in reference_grid.to_json()
+
+    @pytest.mark.parametrize("n_x", [60.5, 60.0, True, None, "60"])
+    def test_cell_counts_must_be_integers(self, reference_grid, n_x):
+        d = json.loads(reference_grid.to_json())
+        d["n_x"] = n_x
+        with pytest.raises(ValueError, match="n_x must be an integer"):
+            UnevenGridSpec.from_json(json.dumps(d))
+        with pytest.raises(ValueError, match="n_x must be an integer"):
+            UnevenGridSpec(reference_grid.x_range, reference_grid.z_range, n_x,
+                           reference_grid.n_z, reference_grid.depth_edges)
+
+    @pytest.mark.parametrize("key, value", [("x_range", 5), ("z_range", [0, 40, 80]),
+                                            ("depth_edges", {"a": 1}), ("x_range", ["a", 1])])
+    def test_malformed_json_names_the_key(self, reference_grid, key, value):
+        d = json.loads(reference_grid.to_json())
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            UnevenGridSpec.from_json(json.dumps(d))
 
 
 def test_depth_bin_centers_are_interval_midpoints():

@@ -121,6 +121,15 @@ class TestVisibilityFilter:
         with pytest.raises(ValueError):
             visibility_filter(PointCloud.empty(), default_k, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("entry", [visibility_filter, unify_stats, unify_visible])
+    def test_every_entry_point_checks_tolerance(self, default_k, entry, tol):
+        # the check lives in the shared z-buffer pass: a negative tolerance
+        # must not report every in-view point as occluded
+        for pc in (PointCloud.empty(), PointCloud([[0.0, 0.0, 5.0, 1.0]])):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                entry(pc, default_k, tol)
+
     def test_empty_cloud(self, default_k):
         assert len(visibility_filter(PointCloud.empty(), default_k)) == 0
 
