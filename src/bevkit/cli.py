@@ -219,11 +219,18 @@ def _losses_daln(args) -> int:
     return 0
 
 
+def _dataset_id(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"spaces keys must be integer dataset ids, got {key!r}") from None
+
+
 def _losses_calign(args, cfg: Config) -> int:
     d = bio.read_json_object(args.input)
     space = LabelSpace(
-        {int(k): frozenset(bio.json_value(c, int, f"spaces[{k!r}]")
-                           for c in bio.json_value(v, list, f"spaces[{k!r}]"))
+        {_dataset_id(k): frozenset(bio.json_value(c, int, f"spaces[{k!r}]")
+                                   for c in bio.json_value(v, list, f"spaces[{k!r}]"))
          for k, v in bio.json_value(d["spaces"], dict, "spaces").items()},
         background=bio.json_value(d["background"], int, "background"),
         gamma=bio.json_value(d.get("gamma", cfg.gamma), float, "gamma"),

@@ -3,7 +3,8 @@
 A per-pixel categorical depth distribution lifts each image feature
 column along its camera ray; entries whose depth probability falls below
 a threshold are dropped before the splat, which removes the bulk of the
-projection work while bounding the per-cell error by the threshold.
+projection work while bounding the per-cell error by the threshold.  The
+splat is one sparse product over the kept entries, so its cost follows them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .geom import CameraIntrinsics, FeatureMap
 from .grid import UnevenGridSpec, depth_bin_centers, depth_bins_of, lateral_bins_of
@@ -52,8 +54,8 @@ class DepthDistribution:
 class SparseProjection:
     """Kept (pixel, depth-bin) pairs with their depth-probability weights.
 
-    ``pixels`` are row-major linear indices h * W_f + w; entries are
-    ordered by (pixel, bin) ascending.
+    ``pixels`` are row-major linear indices h * W_f + w.  Entries must be
+    ordered by pixel, as ``sparse_prune`` emits them ((pixel, bin) ascending).
     """
 
     pixels: np.ndarray
@@ -111,17 +113,21 @@ class SplatResult:
     out_of_grid: int
 
 
+def _column_cells(K: CameraIntrinsics, g: UnevenGridSpec, c_d: int, w_f: int,
+                  uneven_bins: bool) -> np.ndarray:
+    """BEV cell (linear, -1 if off-grid) of each (depth bin d, image column
+    w) at index d * W_f + w; the image row never enters the cell."""
+    z = np.repeat(depth_bin_centers(g.z_range[0], g.z_range[1], c_d, uneven_bins), w_f)
+    u = np.tile(np.arange(w_f, dtype=np.float64), c_d)
+    i_z, i_x = depth_bins_of(z, g), lateral_bins_of((u - K.cx) * z / K.fx, g)
+    return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, -1)
+
+
 def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,
                    uneven_bins: bool) -> np.ndarray:
     """BEV cell (linear, -1 if off-grid) for each kept projection entry."""
-    centers = depth_bin_centers(g.z_range[0], g.z_range[1], sp.source_shape[0], uneven_bins)
-    z = centers[sp.bins]
-    u = (sp.pixels % sp.source_shape[2]).astype(np.float64)
-    x = (u - K.cx) * z / K.fx
-    i_z = depth_bins_of(z, g)
-    i_x = lateral_bins_of(x, g)
-    cells = i_z * g.n_x + i_x
-    return np.where((i_z >= 0) & (i_x >= 0), cells, -1)
+    c_d, _, w_f = sp.source_shape
+    return _column_cells(K, g, c_d, w_f, uneven_bins)[sp.bins * w_f + sp.pixels % w_f]
 
 
 def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
@@ -130,28 +136,32 @@ def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
     """Accumulate kept entries into the BEV grid cell hit by each ray.
 
     Each entry contributes weight * F_i[:, h, w] to the cell containing
-    the 3D point at its pixel's ray and depth-bin center.  Every cell adds
-    its contributions in entry order, starting from zero, so the output is
-    bit-reproducible; off-grid entries are dropped and counted.
+    the 3D point at its pixel's ray and depth-bin center.  Entries must be
+    ordered by pixel: every cell then adds its contributions in entry order,
+    starting from zero, so the output is bit-reproducible; off-grid entries
+    are dropped and counted.
     """
     if reduce not in ("sum", "mean"):
         raise ValueError("reduce must be 'sum' or 'mean'")
     c_i, d, h, w = f_i.shape
     if d != 1 or (h, w) != sp.source_shape[1:]:
         raise ValueError("image features do not match the pruned projection's shape")
+    if np.any(sp.pixels[1:] < sp.pixels[:-1]):
+        raise ValueError("projection entries must be ordered by pixel")
     cells = _entry_targets(sp, K, g, uneven_bins)
     valid = cells >= 0
     cells, pixels, weights = cells[valid], sp.pixels[valid], sp.weights[valid]
-    feats2d = f_i.data.reshape(c_i, h * w)
-    out = np.empty((c_i, g.n_cells))
-    # bincount adds each cell's entries in entry order
-    for c in range(c_i):
-        out[c] = np.bincount(cells, weights=weights * feats2d[c, pixels],
-                             minlength=g.n_cells)
+    counts = np.bincount(cells, minlength=g.n_cells)
+    hit = np.flatnonzero(counts)
+    slot = np.cumsum(counts > 0) - 1   # row of each hit cell
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(pixels, minlength=h * w))))
+    by_pixel = scipy.sparse.csc_matrix((weights, slot[cells], indptr), shape=(hit.size, h * w))
+    # scipy's csc_matvecs adds w * F[:, p] to each entry's cell row in stored order
+    sums = by_pixel @ f_i.data.reshape(c_i, h * w).T
     if reduce == "mean":
-        counts = np.bincount(cells, minlength=g.n_cells)
-        occupied = counts > 0
-        out[:, occupied] /= counts[occupied]
+        sums /= counts[hit, None]
+    out = np.zeros((c_i, g.n_cells))
+    out[:, hit] = sums.T
     bev = FeatureMap(out.reshape(c_i, 1, g.n_z, g.n_x))
     return SplatResult(bev, cells.size, sp.kept - cells.size)
 
@@ -163,16 +173,10 @@ def bev_depth_confidence(f_d: DepthDistribution, K: CameraIntrinsics,
     This is the image-branch confidence field thresholded into a BEV mask
     downstream; max is the least destructive per-cell aggregate.
     """
-    # the image row never enters the target cell: reduce over rows first
-    # and scatter one (bin, column) entry each
-    c_d, _, w_f = f_d.probs.shape
-    bins, cols = np.divmod(np.arange(c_d * w_f), w_f)
-    columns = SparseProjection(cols, bins, f_d.probs.max(axis=1, initial=0.0).ravel(),
-                               (c_d, 1, w_f), 0.0)
-    cells = _entry_targets(columns, K, g, uneven_bins)
+    cells = _column_cells(K, g, f_d.n_bins, f_d.probs.shape[2], uneven_bins)
     valid = cells >= 0
     conf = np.zeros(g.n_cells)
-    np.maximum.at(conf, cells[valid], columns.weights[valid])
+    np.maximum.at(conf, cells[valid], f_d.probs.max(axis=1, initial=0.0).ravel()[valid])
     return conf.reshape(g.n_z, g.n_x)
 
 
@@ -208,10 +212,6 @@ def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0
         sp = sparse_prune(f_d, tau)
         splat_to_bev(f_i, sp, K, g)
         wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-        rows.append({
-            "tau": tau,
-            "kept_ratio": sp.kept / sp.total,
-            "wall_ms": wall_ms,
-            "checksum": checksum,
-        })
+        rows.append({"tau": tau, "kept_ratio": sp.kept / sp.total, "wall_ms": wall_ms,
+                     "checksum": checksum})
     return rows

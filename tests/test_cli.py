@@ -67,6 +67,7 @@ class TestExitCodes:
         ("intrinsics", "top level", [1]),
         ("calign", "spaces", {"spaces": [1]}),
         ("pose", "bad.json: bad pose", {"R": [1]}),
+        ("calign", "spaces keys must be integer dataset ids, got 'x'", {"spaces": {"x": [1]}}),
     ])
     def test_malformed_json_is_a_data_error(self, capsys, tmp_path, scene_dir, case, key,
                                             change):

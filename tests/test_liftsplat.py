@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevkit.config import Config
 from bevkit.geom import CameraIntrinsics, FeatureMap, unproject_pixel
-from bevkit.grid import build_grid, depth_bin_centers, depth_bin_of, lateral_bin_of
+from bevkit.grid import (
+    build_grid,
+    depth_bin_centers,
+    depth_bin_of,
+    depth_bins_of,
+    lateral_bin_of,
+    lateral_bins_of,
+)
 from bevkit.liftsplat import (
     DepthDistribution,
+    SparseProjection,
     _entry_targets,
     bench_projection,
     bev_depth_confidence,
@@ -39,6 +48,29 @@ def brute_force_splat(f_i, f_d, K, g, tau=0.0, uneven_bins=False):
                 else:
                     dropped_per_cell[i_z, i_x] += 1
     return bev, dropped_per_cell
+
+
+def bincount_splat(f_i, sp, K, g, reduce="sum", uneven_bins=False):
+    """The per-entry, per-channel splat that the sparse product replaced:
+    each entry's cell from its own ray, then one bincount per channel
+    (bincount adds a cell's entries in entry order)."""
+    c_i, _, h, w = f_i.shape
+    centers = depth_bin_centers(g.z_range[0], g.z_range[1], sp.source_shape[0], uneven_bins)
+    z = centers[sp.bins]
+    x = ((sp.pixels % w).astype(np.float64) - K.cx) * z / K.fx
+    i_z, i_x = depth_bins_of(z, g), lateral_bins_of(x, g)
+    valid = (i_z >= 0) & (i_x >= 0)
+    cells = (i_z * g.n_x + i_x)[valid]
+    pixels, weights = sp.pixels[valid], sp.weights[valid]
+    feats2d = f_i.data.reshape(c_i, h * w)
+    out = np.empty((c_i, g.n_cells))
+    for c in range(c_i):
+        out[c] = np.bincount(cells, weights=weights * feats2d[c, pixels], minlength=g.n_cells)
+    if reduce == "mean":
+        counts = np.bincount(cells, minlength=g.n_cells)
+        occupied = counts > 0
+        out[:, occupied] /= counts[occupied]
+    return out.reshape(c_i, 1, g.n_z, g.n_x), cells.size
 
 
 def tiny_setup(n_x=3, n_z=4, c_d=4):
@@ -292,6 +324,82 @@ class TestSplat:
                - 3.0 * splat_to_bev(other, sp, K, g, reduce=reduce,
                                     uneven_bins=uneven_bins).bev.data)
         np.testing.assert_allclose(lhs.bev.data, rhs, rtol=0, atol=1e-12 * max(1, sp.kept))
+
+    def test_unordered_pixels_are_refused(self, small_k):
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        f_i, f_d = synth_projection_inputs(3, 2, 4, 8, 8)
+        sp = sparse_prune(f_d, 0.0)
+        reversed_sp = SparseProjection(sp.pixels[::-1], sp.bins[::-1], sp.weights[::-1],
+                                       sp.source_shape, sp.tau)
+        with pytest.raises(ValueError, match="projection entries must be ordered by pixel"):
+            splat_to_bev(f_i, reversed_sp, small_k, g)
+
+    def test_bins_may_run_in_any_order_within_a_pixel(self, small_k):
+        # only the pixel order is required; a cell still adds in entry order
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        f_i, f_d = synth_projection_inputs(4, 3, 6, 8, 8)
+        sp = sparse_prune(f_d, 0.0)
+        order = np.lexsort((-sp.bins, sp.pixels))
+        flipped = SparseProjection(sp.pixels[order], sp.bins[order], sp.weights[order],
+                                   sp.source_shape, sp.tau)
+        for reduce in ("sum", "mean"):
+            result = splat_to_bev(f_i, flipped, small_k, g, reduce=reduce)
+            expected, _ = bincount_splat(f_i, flipped, small_k, g, reduce)
+            assert result.bev.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.0])
+    @pytest.mark.parametrize("k_feat", [
+        # the outdoor and indoor feature cameras of the benchmark frames
+        CameraIntrinsics(fx=88.0, fy=88.0, cx=44.0, cy=16.0, width=88, height=32),
+        CameraIntrinsics(fx=31.25, fy=31.25, cx=20.0, cy=15.0, width=40, height=30),
+    ], ids=["outdoor", "indoor"])
+    def test_reference_scale_matches_bincount_splat(self, k_feat, tau):
+        """Byte-equal to the per-channel bincount splat at 64 channels and
+        118 bins on the reference grid, where many entries of one pixel
+        share a cell and cells collect thousands of entries."""
+        g = Config().grid()
+        f_i, f_d = synth_projection_inputs(11, 64, 118, k_feat.height, k_feat.width)
+        sp = sparse_prune(f_d, tau)
+        for reduce in ("sum", "mean"):
+            result = splat_to_bev(f_i, sp, k_feat, g, reduce=reduce)
+            expected, in_grid = bincount_splat(f_i, sp, k_feat, g, reduce)
+            assert result.bev.data.tobytes() == expected.tobytes()
+            assert (result.in_grid, result.out_of_grid) == (in_grid, sp.kept - in_grid)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c_i=st.integers(1, 3), c_d=st.integers(1, 12),
+        h_f=st.integers(1, 6), w_f=st.integers(1, 8),
+        tau=st.floats(0.0, 1.0),
+        uneven_bins=st.booleans(), uneven_grid=st.booleans(),
+        n_x=st.integers(1, 8), n_z=st.integers(1, 8),
+        x_half=st.floats(0.5, 20.0), z_lo=st.floats(0.0, 5.0), z_span=st.floats(0.5, 40.0),
+    )
+    def test_pruning_error_bound_per_cell(self, seed, c_i, c_d, h_f, w_f, tau, uneven_bins,
+                                          uneven_grid, n_x, n_z, x_half, z_lo, z_span):
+        """|dense - pruned| <= tau * (entries dropped into the cell) * max|F|
+        in every cell and channel; a cell that drops nothing is unchanged."""
+        K = CameraIntrinsics(fx=float(w_f), fy=float(w_f), cx=w_f / 2.0, cy=h_f / 2.0,
+                             width=w_f, height=h_f)
+        g = build_grid((-x_half, x_half), (z_lo, z_lo + z_span), n_x, n_z, uneven=uneven_grid)
+        f_i, f_d = synth_projection_inputs(seed, c_i, c_d, h_f, w_f)
+        dense_sp = sparse_prune(f_d, 0.0)
+        dense = splat_to_bev(f_i, dense_sp, K, g, uneven_bins=uneven_bins)
+        pruned = splat_to_bev(f_i, sparse_prune(f_d, tau), K, g, uneven_bins=uneven_bins)
+
+        cells = _entry_targets(dense_sp, K, g, uneven_bins)
+        on_grid = cells >= 0
+        dropped = np.bincount(cells[on_grid & (dense_sp.weights < tau)], minlength=g.n_cells)
+        entries = np.bincount(cells[on_grid], minlength=g.n_cells)
+        weight_sum = np.bincount(cells[on_grid], weights=dense_sp.weights[on_grid],
+                                 minlength=g.n_cells)
+        f_max = np.abs(f_i.data).max()
+        gap = np.abs(dense.bev.data - pruned.bev.data).reshape(c_i, g.n_cells)
+        # each of the two sums rounds by at most (entries - 1) * eps / 2 * sum|w * F|
+        rounding = entries * np.finfo(np.float64).eps * weight_sum * f_max
+        assert np.all(gap <= tau * dropped * f_max + rounding)
+        assert not gap[:, dropped == 0].any()
 
 
 class TestBevDepthConfidence:
