@@ -1,19 +1,22 @@
 """Single entry point: grid / project / bench / unify / losses / eval / synth.
 
+The operating point (grid ranges and cell counts, uneven grid edges, prune
+threshold tau, projection-bin spacing, visibility tolerance, gamma, eval
+thresholds and bands) comes from the --config file alone, or from the
+built-in defaults; no subcommand flag overrides it.
+
 Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
 randomness is seeded, timing is opt-in, every kernel is single-threaded
 numpy with a fixed accumulation order, and JSON/CSV floats use shortest
 round-trip repr, so identical invocations write byte-identical files.
---threads / BEVKIT_THREADS are accepted and have no effect.  Human
-summaries go to stdout, machine output to the --out/--out-dir paths,
-diagnostics to stderr.
+--threads is accepted and has no effect.  Human summaries go to stdout,
+machine output to the --out/--out-dir paths, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +26,6 @@ from . import io as bio
 from .config import Config, load_config
 from .eval3d import match_and_ap
 from .geom import transform_cloud
-from .grid import UnevenGridSpec, build_grid
 from .headmath import (
     DalnParams,
     LabelSpace,
@@ -38,9 +40,6 @@ from .liftsplat import DepthDistribution, bench_projection, sparse_prune, splat_
 from .pointpipe import DepthMap, depthmap_to_cloud, unify_visible
 from .rng import CounterRng
 from .synth import SceneSpec, generate
-
-THREADS_ENV = "BEVKIT_THREADS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -57,23 +56,8 @@ def _json_dump(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_grid(args, cfg: Config) -> UnevenGridSpec:
-    if getattr(args, "grid", None):
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            return UnevenGridSpec.from_json(fh.read())
-    return cfg.grid()
-
-
 def _cmd_grid(args, cfg: Config) -> int:
-    g = build_grid(
-        (args.x_min if args.x_min is not None else cfg.x_range[0],
-         args.x_max if args.x_max is not None else cfg.x_range[1]),
-        (args.z_min if args.z_min is not None else cfg.z_range[0],
-         args.z_max if args.z_max is not None else cfg.z_range[1]),
-        args.n_x if args.n_x is not None else cfg.n_x,
-        args.n_z if args.n_z is not None else cfg.n_z,
-        uneven=cfg.uneven_grid and not args.even,
-    )
+    g = cfg.grid()
     if args.print_edges:
         for edge in g.depth_edges:
             print(repr(float(edge)))
@@ -94,15 +78,13 @@ def _cmd_project(args, cfg: Config) -> int:
         raise ValueError("depth distribution tensor must have shape (1, C_d, H, W)")
     f_d = DepthDistribution(f_d_t.data[0])
     K = bio.read_intrinsics(args.intrinsics)
-    g = _load_grid(args, cfg)
-    tau = cfg.tau if args.tau is None else args.tau
-    sp = sparse_prune(f_d, tau)
-    result = splat_to_bev(f_i, sp, K, g, reduce=args.reduce,
-                          uneven_bins=args.uneven_bins or cfg.uneven_projection_bins)
+    sp = sparse_prune(f_d, cfg.tau)
+    result = splat_to_bev(f_i, sp, K, cfg.grid(), reduce=args.reduce,
+                          uneven_bins=cfg.uneven_projection_bins)
     bio.write_tnsr(args.out, result.bev)
     if args.stats:
         _json_dump(args.stats, {
-            "tau": tau,
+            "tau": sp.tau,
             "total": sp.total,
             "kept": sp.kept,
             "removal_ratio": sp.removal_ratio,
@@ -119,9 +101,8 @@ def _cmd_bench(args, cfg: Config) -> int:
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be a positive size, got {getattr(args, flag)}")
     taus = args.tau if args.tau else [0.0, 1e-3, 1e-2, 1e-1]
-    g = _load_grid(args, cfg)
     K = bio.read_intrinsics(args.intrinsics) if args.intrinsics else _bench_intrinsics(args)
-    rows = bench_projection(K, g, taus, seed=args.seed, c_i=args.ci, c_d=args.cd,
+    rows = bench_projection(K, cfg.grid(), taus, seed=args.seed, c_i=args.ci, c_d=args.cd,
                             h_f=args.hf, w_f=args.wf, timing=args.timing)
     lines = ["tau,kept_ratio,wall_ms,checksum"]
     for row in rows:
@@ -144,16 +125,14 @@ def _bench_intrinsics(args):
                             width=args.wf, height=args.hf)
 
 
-def _detect_kind(path: str) -> str:
+def _is_mmpc(path: str) -> bool:
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    return "mmpc" if head == bio.MMPC_MAGIC else "depthmap"
+        return fh.read(4) == bio.MMPC_MAGIC
 
 
 def _cmd_unify(args, cfg: Config) -> int:
     K = bio.read_intrinsics(args.intrinsics)
-    kind = args.kind if args.kind != "auto" else _detect_kind(args.infile)
-    if kind == "mmpc":
+    if _is_mmpc(args.infile):
         cloud = bio.read_mmpc(args.infile)
     else:
         tensor = bio.read_tnsr(args.infile)
@@ -162,8 +141,7 @@ def _cmd_unify(args, cfg: Config) -> int:
         cloud = depthmap_to_cloud(DepthMap(tensor.data[0, 0]), K)
     if args.pose:
         cloud = transform_cloud(cloud, bio.read_pose(args.pose))
-    tol = args.tol if args.tol is not None else cfg.visibility_tol
-    retained, stats = unify_visible(cloud, K, tol)
+    retained, stats = unify_visible(cloud, K, cfg.visibility_tol)
     bio.write_mmpc(args.out, retained)
     if args.stats:
         _json_dump(args.stats, stats)
@@ -228,12 +206,15 @@ def _dataset_id(key: str) -> int:
 
 def _losses_calign(args, cfg: Config) -> int:
     d = bio.read_json_object(args.input)
+    if "gamma" in d:
+        raise ValueError(f"{args.input}: key 'gamma' is not read here; "
+                         "set gamma in the --config file")
     space = LabelSpace(
         {_dataset_id(k): frozenset(bio.json_value(c, int, f"spaces[{k!r}]")
                                    for c in bio.json_value(v, list, f"spaces[{k!r}]"))
          for k, v in bio.json_value(d["spaces"], dict, "spaces").items()},
         background=bio.json_value(d["background"], int, "background"),
-        gamma=bio.json_value(d.get("gamma", cfg.gamma), float, "gamma"),
+        gamma=cfg.gamma,
     )
     scaled = class_alignment_loss(
         bio.json_array(d["losses"], "losses"), bio.json_array(d["predicted"], "predicted", int),
@@ -280,7 +261,8 @@ def _cmd_eval(args, cfg: Config) -> int:
 
 def _cmd_synth(args, cfg: Config) -> int:
     spec = SceneSpec(seed=args.seed, regime=args.regime, n_objects=args.n_objects,
-                     n_depth_bins=args.depth_bins)
+                     n_depth_bins=args.depth_bins, bev_z_range=cfg.z_range,
+                     visibility_tol=cfg.visibility_tol)
     bundle = generate(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -295,21 +277,14 @@ def _cmd_synth(args, cfg: Config) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bevkit", description=__doc__)
-    parser.add_argument("--config", help="JSON config overriding the built-in defaults")
+    parser.add_argument("--config", help="JSON config: the operating point of every "
+                        "subcommand (keys not given keep the built-in defaults)")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"accepted and ignored (fallback: ${THREADS_ENV}); "
-                             "every kernel runs single-threaded")
+                        help="accepted and ignored; every kernel runs single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="build a BEV grid and print/serialize its edges")
     p.add_argument("--print-edges", action="store_true")
-    p.add_argument("--even", action="store_true", help="uniform depth bins instead of uneven")
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--z-min", type=float)
-    p.add_argument("--z-max", type=float)
-    p.add_argument("--n-x", type=int)
-    p.add_argument("--n-z", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_grid)
 
@@ -317,11 +292,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--fi", required=True, help="image features TNSR (C, 1, H, W)")
     p.add_argument("--fd", required=True, help="depth distribution TNSR (1, C_d, H, W)")
     p.add_argument("--intrinsics", required=True)
-    p.add_argument("--grid", help="grid JSON (default: config grid)")
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--reduce", choices=("sum", "mean"), default="sum")
-    p.add_argument("--uneven-bins", action="store_true",
-                   help="uneven projection depth bins")
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.set_defaults(fn=_cmd_project)
@@ -332,7 +303,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--wf", type=int, default=32)
     p.add_argument("--cd", type=int, default=64)
     p.add_argument("--ci", type=int, default=32)
-    p.add_argument("--grid", help="grid JSON (default: config grid)")
     p.add_argument("--intrinsics")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true",
@@ -342,11 +312,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("unify", help="convert depth input to a visible point cloud")
     p.add_argument("--in", dest="infile", required=True,
-                   help="input file: MMPC cloud or depth-map TNSR")
-    p.add_argument("--kind", choices=("auto", "mmpc", "depthmap"), default="auto")
+                   help="input file: MMPC cloud (told by its magic) or depth-map TNSR")
     p.add_argument("--intrinsics", required=True)
     p.add_argument("--pose", help="rigid transform into the camera frame (JSON)")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.set_defaults(fn=_cmd_unify)
@@ -403,14 +371,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "losses":
         _validate_losses_args(parser, args)
-    if args.threads is None:
-        # validated like the flag, then ignored
-        raw = os.environ.get(THREADS_ENV, "1") or "1"
-        try:
-            int(raw)
-        except ValueError:
-            print(f"bevkit: error: {THREADS_ENV}: invalid int value: {raw!r}", file=sys.stderr)
-            return 1
     cfg = Config()
     try:
         if args.config:

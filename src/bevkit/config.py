@@ -1,9 +1,9 @@
-"""Runtime defaults shared by the CLI and the evaluation harness.
+"""The operating point: the one source of every setting the CLI and the
+evaluation harness share.
 
-Defaults mirror the reference operating point: perception ranges
-X(-30, 30), Y(-40, 40), Z(0, 80) m, a 60 x 80 BEV grid, projection-prune
-threshold 1e-3, class-alignment factor 0.2, image-mask threshold 5e-4,
-and 100 proposals / 100 extra queries.
+Defaults mirror the reference operating point: BEV ranges X(-30, 30),
+Z(0, 80) m, a 60 x 80 BEV grid, projection-prune threshold 1e-3,
+class-alignment factor 0.2, image-mask threshold 5e-4 and 100 proposals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .io import json_value
 @dataclass(frozen=True)
 class Config:
     x_range: Tuple[float, float] = (-30.0, 30.0)
-    y_range: Tuple[float, float] = (-40.0, 40.0)
     z_range: Tuple[float, float] = (0.0, 80.0)
     n_x: int = 60
     n_z: int = 80
@@ -28,7 +27,6 @@ class Config:
     gamma: float = 0.2
     epsilon: float = 5e-4
     m_proposals: int = 100
-    n_queries: int = 100
     uneven_grid: bool = True
     uneven_projection_bins: bool = False
     visibility_tol: float = 0.1
@@ -37,7 +35,7 @@ class Config:
     band_names: tuple = MatchConfig().band_names
 
     def __post_init__(self):
-        for name in ("x_range", "y_range", "z_range"):
+        for name in ("x_range", "z_range"):
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or not pair[1] > pair[0]:
                 raise ValueError(f"{name} must be a non-degenerate (lo, hi) pair")
@@ -48,8 +46,8 @@ class Config:
             raise ValueError("tau and epsilon must be non-negative")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.m_proposals < 1 or self.n_queries < 0:
-            raise ValueError("query counts out of range")
+        if self.m_proposals < 1:
+            raise ValueError("m_proposals must be >= 1")
         object.__setattr__(self, "iou_thresholds", tuple(float(t) for t in self.iou_thresholds))
         object.__setattr__(self, "depth_bands",
                            tuple((float(a), float(b)) for a, b in self.depth_bands))
@@ -76,7 +74,7 @@ class Config:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             _check_like(value, fields[key].default, f"config key {key!r}")
-        for key in ("x_range", "y_range", "z_range", "iou_thresholds", "band_names"):
+        for key in ("x_range", "z_range", "iou_thresholds", "band_names"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         if "depth_bands" in raw:

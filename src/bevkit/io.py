@@ -18,6 +18,7 @@ file raises a ValueError that names the offending key.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,7 +79,10 @@ def read_mmpc(path) -> PointCloud:
         magic = fh.read(4)
         if magic != MMPC_MAGIC:
             raise ValueError(f"not an MMPC file: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ValueError(f"MMPC header holds {len(head)} of the 4 point-count bytes")
+        (count,) = struct.unpack("<I", head)
         raw = fh.read()
     expected = count * 16
     if len(raw) != expected:
@@ -112,7 +116,7 @@ def read_tnsr(path) -> FeatureMap:
         raise ValueError(f"TNSR shape must have 4 axes, got {shape}")
     if min(shape) < 0:
         raise ValueError(f"TNSR shape must not have negative dimensions, got {shape}")
-    n = int(np.prod(shape))
+    n = math.prod(shape)  # exact: numpy's int64 product would wrap
     if len(raw) != 8 * n:
         raise ValueError(f"TNSR payload is {len(raw)} bytes, expected {8 * n}")
     return FeatureMap(np.frombuffer(raw, dtype="<f8").reshape(shape))

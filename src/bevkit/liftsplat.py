@@ -54,8 +54,9 @@ class DepthDistribution:
 class SparseProjection:
     """Kept (pixel, depth-bin) pairs with their depth-probability weights.
 
-    ``pixels`` are row-major linear indices h * W_f + w.  Entries must be
-    ordered by pixel, as ``sparse_prune`` emits them ((pixel, bin) ascending).
+    ``pixels`` are row-major linear indices h * W_f + w and ``bins`` lie in
+    [0, C_d).  Entries must be ordered by pixel, as ``sparse_prune`` emits
+    them ((pixel, bin) ascending); ``splat_to_bev`` refuses any other input.
     """
 
     pixels: np.ndarray
@@ -146,8 +147,14 @@ def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
     c_i, d, h, w = f_i.shape
     if d != 1 or (h, w) != sp.source_shape[1:]:
         raise ValueError("image features do not match the pruned projection's shape")
+    if not sp.pixels.size == sp.bins.size == sp.weights.size:
+        raise ValueError("projection pixels, bins and weights must have equal lengths")
     if np.any(sp.pixels[1:] < sp.pixels[:-1]):
         raise ValueError("projection entries must be ordered by pixel")
+    if sp.pixels.size and (sp.pixels[0] < 0 or sp.pixels[-1] >= h * w):
+        raise ValueError(f"projection pixels must lie in [0, {h * w})")
+    if sp.bins.size and (sp.bins.min() < 0 or sp.bins.max() >= sp.source_shape[0]):
+        raise ValueError(f"projection bins must lie in [0, {sp.source_shape[0]})")
     cells = _entry_targets(sp, K, g, uneven_bins)
     valid = cells >= 0
     cells, pixels, weights = cells[valid], sp.pixels[valid], sp.weights[valid]

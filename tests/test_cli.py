@@ -1,12 +1,19 @@
+import io
 import json
+import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit import io as bio
 from bevkit.cli import main
 from bevkit.config import Config, load_config, save_config
-from bevkit.geom import Box3D
+from bevkit.geom import Box3D, CameraIntrinsics, PointCloud
+from bevkit.liftsplat import DepthDistribution, sparse_prune, splat_to_bev
 from bevkit.synth import SceneSpec, generate, perturb
 
 
@@ -36,24 +43,60 @@ class TestExitCodes:
             main(["synth"])  # --out-dir is required
         assert exc.value.code == 1
 
-    def test_data_error_returns_two(self, capsys, tmp_path):
-        bad = tmp_path / "nope.mmpc"
-        bad.write_bytes(b"JUNK")
+    def test_data_error_returns_two(self, capsys, tmp_path, default_k):
+        # the MMPC magic routes the file to the MMPC reader, which finds it short
+        bad = tmp_path / "short.mmpc"
+        bad.write_bytes(b"MMPC" + struct.pack("<I", 2) + b"\x00" * 16)
         k = tmp_path / "k.json"
-        code = main(["unify", "--in", str(bad), "--kind", "mmpc",
-                     "--intrinsics", str(k), "--out", str(tmp_path / "o.mmpc")])
+        bio.write_intrinsics(k, default_k)
+        out = tmp_path / "o.mmpc"
+        code, _, err = run(capsys, "unify", "--in", str(bad), "--intrinsics", str(k),
+                           "--out", str(out))
         assert code == 2
+        assert err.strip().splitlines() == ["bevkit: MMPC payload is 16 bytes, expected 32"]
+        assert not out.exists()
 
     def test_invalid_value_returns_two(self, capsys, tmp_path, default_k):
         k = tmp_path / "k.json"
         bio.write_intrinsics(k, default_k)
         cloud = tmp_path / "c.mmpc"
-        from bevkit.geom import PointCloud
-
         bio.write_mmpc(cloud, PointCloud([[0, 0, 5, 1]]))
-        code = main(["unify", "--in", str(cloud), "--intrinsics", str(k),
-                     "--tol", "-1", "--out", str(tmp_path / "o.mmpc")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"visibility_tol": -1.0}))
+        code = main(["--config", str(cfg), "unify", "--in", str(cloud), "--intrinsics", str(k),
+                     "--out", str(tmp_path / "o.mmpc")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("grid", ["--even"]),
+        ("grid", ["--x-min", "-10"]),
+        ("grid", ["--x-max", "10"]),
+        ("grid", ["--z-min", "0"]),
+        ("grid", ["--z-max", "8"]),
+        ("grid", ["--n-x", "4"]),
+        ("grid", ["--n-z", "4"]),
+        ("project", ["--tau", "0"]),
+        ("project", ["--uneven-bins"]),
+        ("project", ["--grid", "grid.json"]),
+        ("bench", ["--grid", "grid.json"]),
+        ("unify", ["--tol", "0.3"]),
+        ("unify", ["--kind", "mmpc"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_flags_are_usage_errors(self, capsys, tmp_path, command, flag):
+        # each setting now comes from --config alone; argparse refuses the
+        # flag before any input file is opened
+        out = tmp_path / "out"
+        argv = {
+            "grid": ["grid"],
+            "project": ["project", "--fi", "fi.tnsr", "--fd", "fd.tnsr", "--intrinsics", "k.json"],
+            "bench": ["bench"],
+            "unify": ["unify", "--in", "cloud.mmpc", "--intrinsics", "k.json"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)] + flag)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case, key, change", [
         ("config", "'tau'", {"tau": "abc"}),
@@ -101,6 +144,90 @@ class TestExitCodes:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("malformed")
+    bio.write_intrinsics(root / "k.json", CameraIntrinsics(8.0, 8.0, 4.0, 4.0, 8, 8))
+    return root
+
+
+def assert_one_line_data_error(root, payload: bytes) -> None:
+    """``payload`` as `unify`'s input (MMPC, or TNSR without the MMPC magic)
+    and as `project`'s image features: exit 2, one `bevkit:` line, no output."""
+    bad, out = root / "bad", root / "out"
+    bad.write_bytes(payload)
+    k = str(root / "k.json")
+    for argv in (["unify", "--in", str(bad), "--intrinsics", k],
+                 ["project", "--fi", str(bad), "--fd", str(bad), "--intrinsics", k]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
+        assert stdout.getvalue() == "" and not out.exists()
+
+
+def tnsr_bytes(data) -> bytes:
+    header = json.dumps({"shape": list(data.shape)}, separators=(",", ":")).encode()
+    return header + b"\n" + np.ascontiguousarray(data, dtype="<f8").tobytes()
+
+
+def mmpc_bytes(points) -> bytes:
+    return b"MMPC" + struct.pack("<I", len(points)) + np.asarray(points, "<f4").tobytes()
+
+
+finite_tensors = arrays(np.float64, array_shapes(min_dims=4, max_dims=4, min_side=1, max_side=3),
+                        elements=st.floats(-1e3, 1e3))
+float32_points = arrays(np.float32, st.tuples(st.integers(0, 6), st.just(4)),
+                        elements=st.floats(-1e3, 1e3, width=32))
+not_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestMalformedFiles:
+    """Properties: every malformed TNSR or MMPC input is one data error."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(finite_tensors.map(tnsr_bytes), float32_points.map(mmpc_bytes)),
+           st.data())
+    def test_truncated_file(self, malformed_dir, payload, data):
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        assert_one_line_data_error(malformed_dir, payload[:cut])
+
+    @settings(deadline=None, max_examples=60)
+    @given(finite_tensors, not_finite, st.data())
+    def test_non_finite_tnsr_value(self, malformed_dir, tensor, value, data):
+        tensor.flat[data.draw(st.integers(0, tensor.size - 1))] = value
+        assert_one_line_data_error(malformed_dir, tnsr_bytes(tensor))
+
+    @settings(deadline=None, max_examples=60)
+    @given(float32_points.filter(len), not_finite, st.data())
+    def test_non_finite_mmpc_value(self, malformed_dir, points, value, data):
+        points.flat[data.draw(st.integers(0, points.size - 1))] = value
+        assert_one_line_data_error(malformed_dir, mmpc_bytes(points))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(
+        st.lists(st.integers(0, 3), max_size=6).filter(lambda s: len(s) != 4),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(lambda s: min(s) < 0),
+        st.lists(st.one_of(st.integers(1, 3), st.floats(), st.booleans(), st.none(),
+                           st.text(max_size=2)), min_size=4, max_size=4).filter(
+            lambda s: not all(type(v) is int for v in s)),
+        st.none(), st.integers(), st.text(max_size=3),
+    ).map(lambda shape: {"shape": shape}) | st.just({}) | st.lists(st.integers(1, 3)),
+        st.binary(max_size=64))
+    def test_mis_shaped_tnsr_header(self, malformed_dir, header, payload):
+        assert_one_line_data_error(malformed_dir, json.dumps(header).encode() + b"\n" + payload)
+
+    @settings(deadline=None, max_examples=60)
+    @given(float32_points, st.integers(0, 2**32 - 1))
+    def test_mmpc_count_mismatch(self, malformed_dir, points, count):
+        assume(count != len(points))
+        payload = mmpc_bytes(points)
+        assert_one_line_data_error(malformed_dir,
+                                   payload[:4] + struct.pack("<I", count) + payload[8:])
+
+
 class TestGrid:
     def test_print_edges_defaults(self, capsys):
         code, out, _ = run(capsys, "grid", "--print-edges")
@@ -119,9 +246,11 @@ class TestGrid:
         assert g.n_x == 60 and g.n_z == 80
 
     def test_even_flag(self, capsys, tmp_path):
+        # the config's uneven_grid switch, with the depth range and count beside it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"uneven_grid": False, "n_z": 4, "z_range": [0, 8]}))
         path = tmp_path / "grid.json"
-        run(capsys, "grid", "--even", "--n-z", "4", "--z-min", "0",
-            "--z-max", "8", "--out", str(path))
+        assert main(["--config", str(cfg), "grid", "--out", str(path)]) == 0
         from bevkit.grid import UnevenGridSpec
 
         g = UnevenGridSpec.from_json(path.read_text())
@@ -132,6 +261,24 @@ class TestSynthAndUnify:
     def test_synth_writes_expected_files(self, scene_dir):
         for name in ("cloud.mmpc", "depth.tnsr", "boxes.jsonl", "intrinsics.json"):
             assert (scene_dir / name).exists()
+
+    def test_synth_honours_config(self, tmp_path):
+        # the depth bins span the config's z_range; the cloud keeps points
+        # within the config's visibility_tol of the nearest one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_range": [0, 40], "visibility_tol": 5.0}))
+        argv = ["synth", "--seed", "3", "--regime", "outdoor", "--out-dir"]
+        out, default, ref = tmp_path / "out", tmp_path / "default", tmp_path / "ref"
+        assert main(["--config", str(cfg)] + argv + [str(out)]) == 0
+        assert main(argv + [str(default)]) == 0
+        bundle = generate(SceneSpec(seed=3, regime="outdoor", bev_z_range=(0.0, 40.0),
+                                    visibility_tol=5.0))
+        ref.mkdir()
+        bio.write_tnsr(ref / "depth.tnsr", bundle.depth_dist.probs[None])
+        bio.write_mmpc(ref / "cloud.mmpc", bundle.cloud)
+        for name in ("depth.tnsr", "cloud.mmpc"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+            assert (out / name).read_bytes() != (default / name).read_bytes()
 
     def test_unify_accepts_synth_cloud(self, capsys, scene_dir, tmp_path):
         out = tmp_path / "visible.mmpc"
@@ -195,17 +342,33 @@ class TestLosses:
         got = json.loads(out)["output"]
         np.testing.assert_allclose(got, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
+    CALIGN = {"losses": [1.0, 1.0], "predicted": [5, 2], "labels": [99, 99],
+              "spaces": {"0": [1, 2, 3]}, "background": 99, "dataset": 0}
+
     def test_calign(self, capsys, tmp_path):
-        payload = {
-            "losses": [1.0, 1.0], "predicted": [5, 2], "labels": [99, 99],
-            "spaces": {"0": [1, 2, 3]}, "background": 99, "gamma": 0.2,
-            "dataset": 0,
-        }
+        # the background-labelled entry predicting class 5, outside the
+        # dataset's label space, is scaled by gamma: 0.2 by default
         path = tmp_path / "calign.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(self.CALIGN))
         code, out, _ = run(capsys, "losses", "calign", "--input", str(path))
         assert code == 0
         assert float(out.split()[-1]) == pytest.approx(0.2 + 1.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.5}))
+        code, out, _ = run(capsys, "--config", str(cfg), "losses", "calign", "--input", str(path))
+        assert code == 0
+        assert float(out.split()[-1]) == pytest.approx(0.5 + 1.0)
+
+    def test_calign_gamma_key_is_refused(self, capsys, tmp_path):
+        # gamma is read from --config alone, so an input carrying it cannot score
+        path, out = tmp_path / "calign.json", tmp_path / "out.json"
+        path.write_text(json.dumps({**self.CALIGN, "gamma": 0.2}))
+        code, stdout, err = run(capsys, "losses", "calign", "--input", str(path),
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.strip().splitlines() == [
+            f"bevkit: {path}: key 'gamma' is not read here; set gamma in the --config file"]
+        assert not out.exists()
 
     def test_mic_p2i_with_grad_check(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -356,25 +519,6 @@ class TestBenchDeterminism:
 
 
 class TestThreadsEnv:
-    def test_env_fallback_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BEVKIT_THREADS", "2")
-        base = ["bench", "--tau", "1e-3", "--seed", "4", "--hf", "8",
-                "--wf", "8", "--cd", "8", "--ci", "2"]
-        via_env = tmp_path / "env.csv"
-        via_flag = tmp_path / "flag.csv"
-        assert main(base + ["--out", str(via_env)]) == 0
-        monkeypatch.delenv("BEVKIT_THREADS")
-        assert main(["--threads", "2"] + base + ["--out", str(via_flag)]) == 0
-        assert via_env.read_bytes() == via_flag.read_bytes()
-
-    def test_non_integer_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BEVKIT_THREADS", "abc")
-        code, out, err = run(capsys, "grid")
-        assert code == 1
-        assert out == ""
-        assert err.strip().splitlines() == [
-            "bevkit: error: BEVKIT_THREADS: invalid int value: 'abc'"]
-
     def test_nothing_written_outside_out_paths(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         outdir = tmp_path / "out"
@@ -396,13 +540,12 @@ class TestConfig:
     def test_defaults_match_reference_operating_point(self):
         cfg = Config()
         assert cfg.x_range == (-30.0, 30.0)
-        assert cfg.y_range == (-40.0, 40.0)
         assert cfg.z_range == (0.0, 80.0)
         assert (cfg.n_x, cfg.n_z) == (60, 80)
         assert cfg.tau == 1e-3
         assert cfg.gamma == 0.2
         assert cfg.epsilon == 5e-4
-        assert cfg.m_proposals == 100 and cfg.n_queries == 100
+        assert cfg.m_proposals == 100
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -410,28 +553,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
 
-    def test_config_even_grid_matches_even_flag(self, capsys, tmp_path):
+    def test_config_even_grid_has_uniform_edges(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         save_config(Config(uneven_grid=False), path)
-        via_cfg, via_flag = tmp_path / "cfg_grid.json", tmp_path / "flag_grid.json"
-        assert main(["--config", str(path), "grid", "--out", str(via_cfg)]) == 0
-        assert main(["grid", "--even", "--out", str(via_flag)]) == 0
-        assert via_cfg.read_bytes() == via_flag.read_bytes()
+        code, out, _ = run(capsys, "--config", str(path), "grid", "--print-edges")
+        assert code == 0
+        assert [float(e) for e in out.split()] == [float(z) for z in range(81)]
+        code, out, _ = run(capsys, "grid", "--print-edges")
+        assert [float(e) for e in out.split()] != [float(z) for z in range(81)]
 
-    def test_config_uneven_projection_bins_matches_flag(self, capsys, scene_dir, tmp_path):
+    def test_config_uneven_projection_bins_differs_from_default(self, capsys, scene_dir,
+                                                                 tmp_path):
         depth = bio.read_tnsr(scene_dir / "depth.tnsr")
         fi = tmp_path / "fi.tnsr"
         bio.write_tnsr(fi, np.ones((2, 1, depth.shape[2], depth.shape[3])))
-        path = tmp_path / "cfg.json"
-        save_config(Config(uneven_projection_bins=True), path)
         argv = ["project", "--fi", str(fi), "--fd", str(scene_dir / "depth.tnsr"),
-                "--intrinsics", str(scene_dir / "intrinsics.json"), "--tau", "0"]
-        outs = {name: tmp_path / f"{name}.tnsr" for name in ("cfg", "flag", "even")}
-        assert main(["--config", str(path)] + argv + ["--out", str(outs["cfg"])]) == 0
-        assert main(argv + ["--uneven-bins", "--out", str(outs["flag"])]) == 0
-        assert main(argv + ["--out", str(outs["even"])]) == 0
-        assert outs["cfg"].read_bytes() == outs["flag"].read_bytes()
-        assert outs["cfg"].read_bytes() != outs["even"].read_bytes()
+                "--intrinsics", str(scene_dir / "intrinsics.json")]
+        outs = {}
+        for uneven in (True, False):
+            path, outs[uneven] = tmp_path / f"cfg{uneven}.json", tmp_path / f"bev{uneven}.tnsr"
+            save_config(Config(tau=0.0, uneven_projection_bins=uneven), path)
+            assert main(["--config", str(path)] + argv + ["--out", str(outs[uneven])]) == 0
+        assert outs[True].read_bytes() != outs[False].read_bytes()
+        # the file is the library splat at the config's tau and bin spacing
+        sp = sparse_prune(DepthDistribution(depth.data[0]), 0.0)
+        expected = splat_to_bev(bio.read_tnsr(fi), sp,
+                                bio.read_intrinsics(scene_dir / "intrinsics.json"),
+                                Config().grid(), uneven_bins=True).bev.data
+        np.testing.assert_array_equal(bio.read_tnsr(outs[True]).data, expected)
 
     def test_cli_accepts_config_file(self, capsys, tmp_path):
         cfg = Config(n_z=4, z_range=(0.0, 8.0))

@@ -3,9 +3,34 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit import io as bio
 from bevkit.geom import Box3D, FeatureMap, PointCloud, Pose, yaw_rotation
+
+def quaternion_rotation(q) -> np.ndarray:
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@st.composite
+def boxes_with_images(draw):
+    """A box with or without a score, and an image id or None (not written)."""
+    box = Box3D(
+        draw(st.tuples(*[st.floats(-1e6, 1e6)] * 3)),
+        draw(st.tuples(*[st.floats(1e-6, 1e3)] * 3)),
+        quaternion_rotation(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+            lambda q: np.linalg.norm(q) > 0.1))),
+        category=draw(st.integers(0, 1000)),
+        score=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+    return draw(st.none() | st.integers(0, 10**9)), box
 
 
 class TestMmpc:
@@ -36,6 +61,15 @@ class TestMmpc:
         with pytest.raises(ValueError, match="magic"):
             bio.read_mmpc(path)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(*[st.floats(width=32, allow_nan=False, allow_infinity=False)] * 4),
+                    max_size=20))
+    def test_round_trip_is_exact_for_float32_points(self, tmp_path_factory, pts):
+        path = tmp_path_factory.mktemp("mmpc") / "cloud.mmpc"
+        points = np.array(pts, dtype=np.float64).reshape(-1, 4)
+        bio.write_mmpc(path, PointCloud(points))
+        assert bio.read_mmpc(path).points.tobytes() == points.tobytes()
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.mmpc"
         path.write_bytes(b"MMPC" + struct.pack("<I", 2) + b"\x00" * 16)
@@ -50,6 +84,15 @@ class TestTnsr:
         bio.write_tnsr(path, data)
         out = bio.read_tnsr(path)
         np.testing.assert_array_equal(out.data, data)
+
+    @settings(deadline=None, max_examples=100)
+    @given(arrays(np.float64, array_shapes(min_dims=4, max_dims=4, min_side=0, max_side=4),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_is_exact_for_any_rank4_shape(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("tnsr") / "t.tnsr"
+        bio.write_tnsr(path, data)
+        out = bio.read_tnsr(path).data
+        assert out.shape == data.shape and out.tobytes() == data.tobytes()
 
     def test_header_is_single_json_line(self, tmp_path):
         path = tmp_path / "t.tnsr"
@@ -96,6 +139,19 @@ class TestBoxesJsonl:
         np.testing.assert_allclose(got_gt.rotation, gt.rotation)
         np.testing.assert_array_equal(got_pred.center, pred.center)
         assert (got_gt.category, got_pred.category) == (3, 1)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(boxes_with_images(), max_size=5))
+    def test_round_trip_is_exact(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("boxes") / "boxes.jsonl"
+        bio.write_boxes_jsonl(path, [box if img is None else (img, box) for img, box in records])
+        out = bio.read_boxes_jsonl(path)
+        assert len(out) == len(records)
+        for (img, box), (got_img, got) in zip(records, out):
+            assert got_img == (0 if img is None else img)
+            for field in ("center", "dims", "rotation"):
+                assert getattr(got, field).tobytes() == getattr(box, field).tobytes()
+            assert (got.category, got.score) == (box.category, box.score)
 
     def test_schema_keys(self, tmp_path):
         path = tmp_path / "one.jsonl"

@@ -334,6 +334,35 @@ class TestSplat:
         with pytest.raises(ValueError, match="projection entries must be ordered by pixel"):
             splat_to_bev(f_i, reversed_sp, small_k, g)
 
+    @pytest.mark.parametrize("field, edit", [
+        # a bin of -1 would index the last depth bin's cells
+        ("bins", lambda sp: (sp.pixels, np.where(sp.pixels == 5, -1, sp.bins), sp.weights)),
+        ("bins", lambda sp: (sp.pixels, sp.bins + 1, sp.weights)),
+        ("pixels", lambda sp: (sp.pixels + 1, sp.bins, sp.weights)),
+        ("pixels", lambda sp: (sp.pixels - 1, sp.bins, sp.weights)),
+    ], ids=["bin-minus-one", "bin-past-last", "pixel-past-last", "pixel-minus-one"])
+    def test_out_of_range_entries_are_refused(self, small_k, field, edit):
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        f_i, f_d = synth_projection_inputs(3, 2, 4, 4, 4)
+        sp = sparse_prune(f_d, 0.0)
+        bad = SparseProjection(*edit(sp), sp.source_shape, sp.tau)
+        bound = {"bins": 4, "pixels": 16}[field]
+        with pytest.raises(ValueError) as exc:
+            splat_to_bev(f_i, bad, small_k, g)
+        assert str(exc.value) == f"projection {field} must lie in [0, {bound})"
+
+    @pytest.mark.parametrize("field", ["pixels", "bins", "weights"])
+    def test_unequal_lengths_are_refused(self, small_k, field):
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        f_i, f_d = synth_projection_inputs(3, 2, 4, 4, 4)
+        sp = sparse_prune(f_d, 0.0)
+        fields = {"pixels": sp.pixels, "bins": sp.bins, "weights": sp.weights}
+        fields[field] = fields[field][:-1]
+        bad = SparseProjection(**fields, source_shape=sp.source_shape, tau=sp.tau)
+        with pytest.raises(ValueError) as exc:
+            splat_to_bev(f_i, bad, small_k, g)
+        assert str(exc.value) == "projection pixels, bins and weights must have equal lengths"
+
     def test_bins_may_run_in_any_order_within_a_pixel(self, small_k):
         # only the pixel order is required; a cell still adds in entry order
         g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
