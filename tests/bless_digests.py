@@ -1,0 +1,92 @@
+"""Golden digests of bevkit's reproducible outputs, the data of the drift gate.
+
+    PYTHONPATH=src python tests/bless_digests.py
+
+recomputes every digest, rewrites ``tests/golden_digests.json`` and prints
+which digests moved.  ``tests/test_digests.py`` recomputes the same digests
+in tier-1 and fails on any difference.  The digests cover:
+
+- the sha256 of every file that acceptance criterion 10's CLI run
+  (``_run_all_subcommands`` in ``tests/test_acceptance.py``) writes;
+- ``bench/workloads.py``'s ``frame_digest``/``eval_digest`` of every input
+  of ``frame_outdoor``, ``frame_indoor`` and ``eval_mixed`` at seeds 1-3.
+
+Re-blessing declares an output change: CHANGES.md must name the outputs
+that moved and the largest difference measured.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+GOLDEN = TESTS / "golden_digests.json"
+SEEDS = (1, 2, 3)
+
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+for _dir in (TESTS, ROOT / "bench"):
+    if str(_dir) not in sys.path:
+        sys.path.append(str(_dir))
+
+
+def cli_digests(root: Path) -> dict:
+    """sha256 of every acceptance-10 output file, written under ``root``."""
+    from test_acceptance import _run_all_subcommands
+
+    with contextlib.redirect_stdout(io.StringIO()):   # the CLI's human summaries
+        files = _run_all_subcommands(root, "1")
+    return {f"cli/{name}": hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+def workload_digests() -> dict:
+    """The benchmark's own digest of every input's output, seeds 1-3."""
+    import workloads as wl
+
+    api, settings = wl.plain_api(), wl.Settings.default()
+    out = {}
+    for name, workload in wl.WORKLOADS.items():
+        for seed in SEEDS:
+            items = workload.make_inputs(wl.make_rng(name, seed), settings)
+            for i, item in enumerate(items):
+                out[f"{name}/seed{seed}/{i}"] = workload.digest(workload.op(api, item, settings))
+    return out
+
+
+def compute_digests(root: Path) -> dict:
+    return dict(sorted({**cli_digests(root), **workload_digests()}.items()))
+
+
+def moves(old: dict, new: dict) -> list:
+    """One line per digest that moved, appeared or disappeared."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"removed  {key}")
+        elif key not in old:
+            lines.append(f"added    {key}")
+        elif old[key] != new[key]:
+            lines.append(f"moved    {key}")
+    return lines
+
+
+def main() -> int:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        new = compute_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
+    changed = moves(old, new)
+    print("\n".join(changed) if changed else "no digest moved")
+    print(f"{len(new)} digests written to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
