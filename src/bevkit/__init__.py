@@ -13,7 +13,7 @@ from .geom import (
     transform_cloud,
     unproject_pixel,
 )
-from .grid import UnevenGridSpec, build_grid, cell_center, depth_bin_of
+from .grid import UnevenGridSpec, build_grid, cells_of
 from .headmath import (
     DalnParams,
     LabelSpace,

@@ -74,13 +74,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(self.rotation.T, -(self.rotation.T @ self.translation))
 
-    def compose(self, other: "Pose") -> "Pose":
-        """Pose equivalent to applying ``other`` first, then ``self``."""
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
 
@@ -161,10 +154,6 @@ class FeatureMap:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @classmethod
-    def zeros(cls, shape) -> "FeatureMap":
-        return cls(np.zeros(shape))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Depth-bin edges follow e(i) = z_min + span * i*(i+1) / (n*(n+1)), so bin
 widths grow by the constant 2*span/(n*(n+1)) from one bin to the next:
 fine resolution near the camera, coverage far away, same cell count as a
 uniform split.  The lateral (x) axis is always uniform.
+
+This module owns the cell rule: a point (x, z) lies in the linear cell
+i_z * n_x + i_x of its depth bin i_z and lateral bin i_x (``cells_of``),
+and ``cell_centers`` gives each linear cell's (x, z) midpoint.
 """
 
 from __future__ import annotations
@@ -104,29 +108,10 @@ def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> Une
     return UnevenGridSpec((x_lo, x_hi), (z_lo, z_hi), n_x, n_z, edges)
 
 
-def depth_bin_of(z: float, g: UnevenGridSpec) -> int:
-    """Bin i with edges[i] <= z < edges[i+1]; z == z_max maps to the last
-    bin; OUT_OF_RANGE (-1) outside [z_min, z_max] (a normal path)."""
-    z_lo, z_hi = g.z_range
-    if z < z_lo or z > z_hi or not np.isfinite(z):
-        return OUT_OF_RANGE
-    if z == z_hi:
-        return g.n_z - 1
-    return int(np.searchsorted(g.depth_edges, z, side="right")) - 1
-
-
-def lateral_bin_of(x: float, g: UnevenGridSpec) -> int:
-    """Uniform lateral lookup with the same boundary rules as depth_bin_of."""
-    x_lo, x_hi = g.x_range
-    if x < x_lo or x > x_hi or not np.isfinite(x):
-        return OUT_OF_RANGE
-    if x == x_hi:
-        return g.n_x - 1
-    return min(int((x - x_lo) / g.lateral_width), g.n_x - 1)
-
-
-def depth_bins_of(z: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
-    """Vectorized depth_bin_of."""
+def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
+    """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
+    maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
+    non-finite z (a normal path, not an error).  Accepts scalars."""
     z = np.asarray(z, dtype=np.float64)
     idx = np.searchsorted(g.depth_edges, z, side="right") - 1
     idx = np.where(z == g.z_range[1], g.n_z - 1, idx)
@@ -134,8 +119,11 @@ def depth_bins_of(z: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
     return np.where(bad, OUT_OF_RANGE, idx).astype(np.int64)
 
 
-def lateral_bins_of(x: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
-    """Vectorized lateral_bin_of."""
+def lateral_bins_of(x, g: UnevenGridSpec) -> np.ndarray:
+    """Uniform lateral bin of each x: floor((x - x_min) / lateral_width) in
+    float64, capped at n_x - 1 so that x == x_max maps to the last bin;
+    OUT_OF_RANGE outside [x_min, x_max] or for a non-finite x (a normal
+    path, not an error).  Accepts scalars."""
     x = np.asarray(x, dtype=np.float64)
     bad = (x < g.x_range[0]) | (x > g.x_range[1]) | ~np.isfinite(x)
     safe = np.where(bad, g.x_range[0], x)
@@ -144,10 +132,20 @@ def lateral_bins_of(x: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
     return np.where(bad, OUT_OF_RANGE, idx)
 
 
-def cell_center(i_x: int, i_z: int, g: UnevenGridSpec) -> tuple:
-    """(x, z) midpoint of cell (i_x, i_z)."""
-    if not (0 <= i_x < g.n_x and 0 <= i_z < g.n_z):
+def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
+    """Linear BEV cell i_z * n_x + i_x of each point (x, z), or OUT_OF_RANGE
+    where either bin is off the grid."""
+    i_z, i_x = depth_bins_of(z, g), lateral_bins_of(x, g)
+    return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, OUT_OF_RANGE)
+
+
+def cell_centers(cells, g: UnevenGridSpec) -> tuple:
+    """(x, z) midpoints of linear cells; a cell outside [0, n_cells) is a
+    ValueError."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.size and (cells.min() < 0 or cells.max() >= g.n_cells):
         raise ValueError("cell index out of range")
+    i_z, i_x = np.divmod(cells, g.n_x)
     x = g.x_range[0] + (i_x + 0.5) * g.lateral_width
     z = 0.5 * (g.depth_edges[i_z] + g.depth_edges[i_z + 1])
-    return float(x), float(z)
+    return x, z

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .geom import CameraIntrinsics, FeatureMap
-from .grid import UnevenGridSpec, depth_bin_centers, depth_bins_of, lateral_bins_of
+from .grid import UnevenGridSpec, cells_of, depth_bin_centers
 from .rng import CounterRng
 
 _SUM_TOL = 1e-9
@@ -120,8 +120,7 @@ def _column_cells(K: CameraIntrinsics, g: UnevenGridSpec, c_d: int, w_f: int,
     w) at index d * W_f + w; the image row never enters the cell."""
     z = np.repeat(depth_bin_centers(g.z_range[0], g.z_range[1], c_d, uneven_bins), w_f)
     u = np.tile(np.arange(w_f, dtype=np.float64), c_d)
-    i_z, i_x = depth_bins_of(z, g), lateral_bins_of((u - K.cx) * z / K.fx, g)
-    return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, -1)
+    return cells_of((u - K.cx) * z / K.fx, z, g)
 
 
 def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import CameraIntrinsics, PointCloud, pixel_cell, project_points
-from .grid import UnevenGridSpec, depth_bins_of, lateral_bins_of
+from .grid import UnevenGridSpec, cell_centers, cells_of
 
 # BEV masks are plain (n_z, n_x) boolean arrays.
 BevMask = np.ndarray
@@ -141,10 +141,9 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     Pillars follow ascending cell order; each sums its points in input
     order.
     """
-    i_z = depth_bins_of(pc.xyz[:, 2] if len(pc) else np.empty(0), g)
-    i_x = lateral_bins_of(pc.xyz[:, 0] if len(pc) else np.empty(0), g)
-    valid = (i_z >= 0) & (i_x >= 0)
-    cells = (i_z[valid] * g.n_x + i_x[valid]).astype(np.int64)
+    cells = cells_of(pc.xyz[:, 0], pc.xyz[:, 2], g)
+    valid = cells >= 0
+    cells = cells[valid]
     counts = np.bincount(cells, minlength=g.n_cells)
     seg_cells = np.flatnonzero(counts)
     counts = counts[seg_cells]
@@ -154,14 +153,10 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
         for k in range(points.shape[1])
     ])
     means = sums / counts[:, None]
-    iz = seg_cells // g.n_x
-    ix = seg_cells % g.n_x
-    # same arithmetic as cell_center, vectorized over pillars
-    center_x = g.x_range[0] + (ix + 0.5) * g.lateral_width
-    center_z = 0.5 * (g.depth_edges[iz] + g.depth_edges[iz + 1])
+    center_x, center_z = cell_centers(seg_cells, g)
     offsets = np.column_stack([means[:, 0] - center_x, means[:, 2] - center_z])
     return PillarTensor(
-        cells=np.column_stack([iz, ix]).astype(np.int64),
+        cells=np.column_stack(np.divmod(seg_cells, g.n_x)),
         counts=counts.astype(np.int64),
         features=np.column_stack([means, offsets]),
         n_assigned=int(valid.sum()),

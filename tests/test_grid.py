@@ -10,11 +10,11 @@ from bevkit.grid import (
     OUT_OF_RANGE,
     UnevenGridSpec,
     build_grid,
-    cell_center,
+    cell_centers,
+    cells_of,
     depth_bin_centers,
-    depth_bin_of,
     depth_bins_of,
-    lateral_bin_of,
+    lateral_bins_of,
 )
 
 
@@ -83,21 +83,19 @@ class TestBuildGrid:
 
 class TestDepthBinOf:
     def test_lower_edge(self, reference_grid):
-        assert depth_bin_of(0.0, reference_grid) == 0
+        assert depth_bins_of(0.0, reference_grid) == 0
 
     def test_last_bin(self, reference_grid):
-        assert depth_bin_of(79.999, reference_grid) == 79
-        assert depth_bin_of(80.0, reference_grid) == 79
+        np.testing.assert_array_equal(depth_bins_of([79.999, 80.0], reference_grid), [79, 79])
 
     def test_interior_value_vs_enumerated_edges(self, reference_grid):
         # oracle: enumerate the exact edges around z = 1.0
         assert float(exact_edge(8, 80)) <= 1.0 < float(exact_edge(9, 80))
-        assert depth_bin_of(1.0, reference_grid) == 8
+        assert depth_bins_of(1.0, reference_grid) == 8
 
     def test_out_of_range(self, reference_grid):
-        assert depth_bin_of(-0.1, reference_grid) == OUT_OF_RANGE
-        assert depth_bin_of(80.1, reference_grid) == OUT_OF_RANGE
-        assert depth_bin_of(np.nan, reference_grid) == OUT_OF_RANGE
+        np.testing.assert_array_equal(
+            depth_bins_of([-0.1, 80.1, np.nan], reference_grid), [OUT_OF_RANGE] * 3)
 
     def test_matches_linear_scan_oracle(self, reference_grid):
         rng = np.random.default_rng(42)
@@ -115,22 +113,23 @@ class TestDepthBinOf:
             raise AssertionError("unreachable")
 
         got = depth_bins_of(zs, reference_grid)
-        # spot-check the vectorized path against the scalar one too
+        # a scalar argument takes the same path as an array of one
         for z in zs[:500]:
-            assert depth_bin_of(float(z), reference_grid) == linear_scan(float(z))
+            assert depth_bins_of(float(z), reference_grid) == linear_scan(float(z))
         expected = np.array([linear_scan(float(z)) for z in zs])
         np.testing.assert_array_equal(got, expected)
 
     def test_partition_no_gaps_no_overlap(self, reference_grid):
         # every edge belongs to exactly the bin it opens
-        for i in range(reference_grid.n_z):
-            assert depth_bin_of(float(reference_grid.depth_edges[i]), reference_grid) == i
+        np.testing.assert_array_equal(
+            depth_bins_of(reference_grid.depth_edges[:-1], reference_grid),
+            np.arange(reference_grid.n_z))
 
     @settings(deadline=None, max_examples=200)
     @given(z=st.floats(0.0, 80.0))
     def test_bin_brackets_value(self, z):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
-        b = depth_bin_of(z, g)
+        b = depth_bins_of(z, g)
         assert 0 <= b < g.n_z
         assert g.depth_edges[b] <= z
         assert z <= g.depth_edges[b + 1]
@@ -139,32 +138,68 @@ class TestDepthBinOf:
 class TestCellCenter:
     def test_uniform_lateral_toy(self):
         g = build_grid((-1.0, 1.0), (0.0, 10.0), 2, 5)
-        assert cell_center(0, 0, g)[0] == pytest.approx(-0.5)
-        assert cell_center(1, 0, g)[0] == pytest.approx(0.5)
+        x, _ = cell_centers([0, 1], g)
+        np.testing.assert_allclose(x, [-0.5, 0.5])
 
     def test_first_depth_center(self, reference_grid):
         expected = float((exact_edge(0, 80) + exact_edge(1, 80)) / 2)
-        assert cell_center(0, 0, reference_grid)[1] == pytest.approx(expected, abs=1e-12)
+        assert cell_centers(0, reference_grid)[1] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.0 / 81.0)
 
     def test_last_depth_center(self, reference_grid):
         expected = float((exact_edge(79, 80) + exact_edge(80, 80)) / 2)
-        assert cell_center(0, 79, reference_grid)[1] == pytest.approx(expected, abs=1e-12)
+        # linear cell of (i_z, i_x) = (79, 0)
+        assert cell_centers(79 * 60, reference_grid)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_out_of_range_raises(self, reference_grid):
         with pytest.raises(ValueError):
-            cell_center(60, 0, reference_grid)
+            cell_centers([reference_grid.n_cells], reference_grid)
         with pytest.raises(ValueError):
-            cell_center(0, 80, reference_grid)
+            cell_centers([0, OUT_OF_RANGE], reference_grid)
 
 
 class TestLateralBins:
     def test_boundaries(self):
         g = build_grid((-1.0, 1.0), (0.0, 10.0), 4, 5)
-        assert lateral_bin_of(-1.0, g) == 0
-        assert lateral_bin_of(1.0, g) == 3
-        assert lateral_bin_of(-1.0001, g) == OUT_OF_RANGE
-        assert lateral_bin_of(0.49, g) == 2
+        np.testing.assert_array_equal(
+            lateral_bins_of([-1.0, 1.0, -1.0001, 0.49], g), [0, 3, OUT_OF_RANGE, 2])
+
+
+def _near(values):
+    """Each value, and its float64 neighbours below and above."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+class TestCellsOf:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        x_lo=st.floats(-100.0, 100.0), x_span=st.floats(0.01, 200.0),
+        z_lo=st.floats(0.0, 50.0), z_span=st.floats(0.01, 150.0),
+        n_x=st.integers(1, 40), n_z=st.integers(1, 40), uneven=st.booleans(),
+        extra=st.lists(st.floats(-1e3, 1e3), max_size=8),
+    )
+    def test_matches_bisect_oracle_at_every_edge(self, cell_oracle, x_lo, x_span, z_lo,
+                                                 z_span, n_x, n_z, uneven, extra):
+        g = build_grid((x_lo, x_lo + x_span), (z_lo, z_lo + z_span), n_x, n_z, uneven)
+        lateral_edges = g.x_range[0] + np.arange(n_x + 1) * g.lateral_width
+        specials = [np.nan, np.inf, -np.inf, *extra]
+        xs = np.concatenate([_near(lateral_edges), _near(g.x_range), specials])
+        zs = np.concatenate([_near(g.depth_edges), specials])
+        # every x against every z, off-grid and non-finite values included
+        x, z = (a.ravel() for a in np.meshgrid(xs, zs))
+        expected = [cell_oracle.cell(xi, zi, g) for xi, zi in zip(x, z)]
+        np.testing.assert_array_equal(cells_of(x, z, g), expected)
+
+    def test_off_grid_is_out_of_range(self, reference_grid):
+        np.testing.assert_array_equal(
+            cells_of([0.0, 31.0, 0.0, np.nan], [81.0, 1.0, -np.inf, 1.0], reference_grid),
+            [OUT_OF_RANGE] * 4)
+
+    def test_centers_land_in_their_own_cells(self, reference_grid):
+        cells = np.arange(reference_grid.n_cells)
+        np.testing.assert_array_equal(cells_of(*cell_centers(cells, reference_grid),
+                                               reference_grid), cells)
 
 
 class TestSerialization:

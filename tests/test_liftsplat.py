@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from bevkit.config import Config
 from bevkit.geom import CameraIntrinsics, FeatureMap, unproject_pixel
-from bevkit.grid import (
-    build_grid,
-    depth_bin_centers,
-    depth_bin_of,
-    depth_bins_of,
-    lateral_bin_of,
-    lateral_bins_of,
-)
+from bevkit.grid import build_grid, depth_bin_centers, depth_bins_of, lateral_bins_of
 from bevkit.liftsplat import (
     DepthDistribution,
     SparseProjection,
@@ -26,9 +19,9 @@ from bevkit.liftsplat import (
 )
 
 
-def brute_force_splat(f_i, f_d, K, g, tau=0.0, uneven_bins=False):
+def brute_force_splat(cell_oracle, f_i, f_d, K, g, tau=0.0, uneven_bins=False):
     """Independent oracle: loop over every (bin, pixel) with the scalar
-    geometry API and accumulate by hand."""
+    geometry API and the bisect cell oracle, and accumulate by hand."""
     c_i = f_i.shape[0]
     c_d, h_f, w_f = f_d.probs.shape
     centers = depth_bin_centers(g.z_range[0], g.z_range[1], c_d, uneven_bins)
@@ -39,8 +32,8 @@ def brute_force_splat(f_i, f_d, K, g, tau=0.0, uneven_bins=False):
             for d in range(c_d):
                 weight = f_d.probs[d, h, w]
                 point = unproject_pixel(float(w), float(h), float(centers[d]), K)
-                i_z = depth_bin_of(point[2], g)
-                i_x = lateral_bin_of(point[0], g)
+                i_z = cell_oracle.depth_bin(point[2], g)
+                i_x = cell_oracle.lateral_bin(point[0], g)
                 if i_z < 0 or i_x < 0:
                     continue
                 if weight >= tau:
@@ -204,7 +197,7 @@ class TestSplat:
                               reduce="mean")
         assert result.bev.data[0, 0, 0, 0] == (1.0 + 3.0) / 2
 
-    def test_matches_brute_force_dense_oracle(self, small_k):
+    def test_matches_brute_force_dense_oracle(self, small_k, cell_oracle):
         rng = np.random.default_rng(7)
         g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
         c_i, c_d, hw = 3, 6, 8
@@ -212,10 +205,10 @@ class TestSplat:
         logits = rng.normal(size=(c_d, hw, hw)) * 2
         f_d = DepthDistribution(np.exp(logits) / np.exp(logits).sum(0, keepdims=True))
         result = splat_to_bev(f_i, sparse_prune(f_d, 0.0), small_k, g)
-        expected, _ = brute_force_splat(f_i, f_d, small_k, g)
+        expected, _ = brute_force_splat(cell_oracle, f_i, f_d, small_k, g)
         np.testing.assert_allclose(result.bev.data[:, 0], expected, atol=1e-12)
 
-    def test_pruning_error_bound(self, small_k):
+    def test_pruning_error_bound(self, small_k, cell_oracle):
         # |dense - pruned| per cell <= tau * (dropped into cell) * max|F_i|
         rng = np.random.default_rng(8)
         g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
@@ -226,7 +219,7 @@ class TestSplat:
         f_d = DepthDistribution(np.exp(logits) / np.exp(logits).sum(0, keepdims=True))
         dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), small_k, g)
         pruned = splat_to_bev(f_i, sparse_prune(f_d, tau), small_k, g)
-        _, dropped = brute_force_splat(f_i, f_d, small_k, g, tau=tau)
+        _, dropped = brute_force_splat(cell_oracle, f_i, f_d, small_k, g, tau=tau)
         gap = np.abs(dense.bev.data - pruned.bev.data).max(axis=0)[0]
         bound = tau * dropped * np.abs(f_i.data).max() + 1e-15
         assert np.all(gap <= bound)
@@ -432,7 +425,7 @@ class TestSplat:
 
 
 class TestBevDepthConfidence:
-    def test_max_aggregation_against_loop_oracle(self, small_k):
+    def test_max_aggregation_against_loop_oracle(self, small_k, cell_oracle):
         rng = np.random.default_rng(12)
         g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
         c_d, hw = 6, 8
@@ -445,8 +438,8 @@ class TestBevDepthConfidence:
             for w in range(hw):
                 for d in range(c_d):
                     point = unproject_pixel(float(w), float(h), float(centers[d]), small_k)
-                    i_z = depth_bin_of(point[2], g)
-                    i_x = lateral_bin_of(point[0], g)
+                    i_z = cell_oracle.depth_bin(point[2], g)
+                    i_x = cell_oracle.lateral_bin(point[0], g)
                     if i_z >= 0 and i_x >= 0:
                         expected[i_z, i_x] = max(expected[i_z, i_x], f_d.probs[d, h, w])
         np.testing.assert_array_equal(conf, expected)

@@ -215,7 +215,7 @@ class TestOccupancyMask:
         mask = occupancy_mask(pillarize(PointCloud([[1.75, 0, 3.5, 1.0]]), g), g)
         assert mask.sum() == 1 and mask[3, 7]
 
-    def test_cardinality_matches_recount_oracle(self):
+    def test_cardinality_matches_recount_oracle(self, cell_oracle):
         rng = np.random.default_rng(6)
         g = build_grid((-2.0, 2.0), (0.0, 10.0), 5, 6)
         pts = np.column_stack([
@@ -223,14 +223,8 @@ class TestOccupancyMask:
             rng.uniform(0, 10, 300), rng.uniform(size=300)])
         pc = PointCloud(pts)
         mask = occupancy_mask(pillarize(pc, g), g)
-        # oracle: distinct occupied cells via scalar binning
-        from bevkit.grid import depth_bin_of, lateral_bin_of
-
-        occupied = {
-            (depth_bin_of(float(z), g), lateral_bin_of(float(x), g))
-            for x, z in zip(pts[:, 0], pts[:, 2])
-            if depth_bin_of(float(z), g) >= 0 and lateral_bin_of(float(x), g) >= 0
-        }
+        # oracle: distinct occupied cells via the scalar bisect lookup
+        occupied = {cell_oracle.cell(x, z, g) for x, z in zip(pts[:, 0], pts[:, 2])} - {-1}
         assert mask.sum() == len(occupied)
 
     def test_union_monotonicity(self):
