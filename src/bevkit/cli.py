@@ -262,6 +262,7 @@ def _cmd_eval(args, cfg: Config) -> int:
 def _cmd_synth(args, cfg: Config) -> int:
     spec = SceneSpec(seed=args.seed, regime=args.regime, n_objects=args.n_objects,
                      n_depth_bins=args.depth_bins, bev_z_range=cfg.z_range,
+                     uneven_depth_bins=cfg.uneven_projection_bins,
                      visibility_tol=cfg.visibility_tol)
     bundle = generate(spec)
     out = Path(args.out_dir)

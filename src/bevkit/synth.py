@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .geom import Box3D, CameraIntrinsics, PointCloud, pixel_cell, project_points, unproject_pixel, yaw_rotation
+from .grid import depth_bin_centers
 from .liftsplat import DepthDistribution
 from .pointpipe import visibility_filter
 from .rng import CounterRng
@@ -45,6 +46,7 @@ class SceneSpec:
     n_depth_bins: int = 48
     feature_downsample: int = 16
     bev_z_range: Tuple[float, float] = (0.0, 80.0)
+    uneven_depth_bins: bool = False   # depth-bin spacing, as projection reads it
     visibility_tol: float = 0.1
 
     def __post_init__(self):
@@ -128,9 +130,8 @@ def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution
         np.minimum.at(flat, fv * w_f + fu, z[in_view])
         seen = np.isfinite(flat)
         depth.ravel()[seen] = flat[seen]
-    centers = np.linspace(
-        spec.bev_z_range[0], spec.bev_z_range[1], spec.n_depth_bins + 1)
-    centers = 0.5 * (centers[:-1] + centers[1:])
+    centers = depth_bin_centers(spec.bev_z_range[0], spec.bev_z_range[1], spec.n_depth_bins,
+                                spec.uneven_depth_bins)
     logits = -((centers[:, None, None] - depth[None]) ** 2) / (2.0 * spec.noise.depth_sigma**2)
     logits -= logits.max(axis=0, keepdims=True)
     expd = np.exp(logits)

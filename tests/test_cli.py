@@ -280,6 +280,20 @@ class TestSynthAndUnify:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
             assert (out / name).read_bytes() != (default / name).read_bytes()
 
+    def test_synth_honours_uneven_projection_bins(self, tmp_path):
+        # the depth distribution is laid over the bins project reads
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"uneven_projection_bins": True}))
+        argv = ["synth", "--seed", "3", "--regime", "outdoor", "--out-dir"]
+        out, default = tmp_path / "out", tmp_path / "default"
+        assert main(["--config", str(cfg)] + argv + [str(out)]) == 0
+        assert main(argv + [str(default)]) == 0
+        bundle = generate(SceneSpec(seed=3, regime="outdoor", uneven_depth_bins=True))
+        ref = tmp_path / "ref.tnsr"
+        bio.write_tnsr(ref, bundle.depth_dist.probs[None])
+        assert (out / "depth.tnsr").read_bytes() == ref.read_bytes()
+        assert (out / "depth.tnsr").read_bytes() != (default / "depth.tnsr").read_bytes()
+
     def test_unify_accepts_synth_cloud(self, capsys, scene_dir, tmp_path):
         out = tmp_path / "visible.mmpc"
         stats = tmp_path / "stats.json"
