@@ -116,6 +116,12 @@ def read_tnsr(path) -> FeatureMap:
         raise ValueError(f"TNSR shape must have 4 axes, got {shape}")
     if min(shape) < 0:
         raise ValueError(f"TNSR shape must not have negative dimensions, got {shape}")
+    nbytes, limit = 8, np.iinfo(np.intp).max
+    for axis, size in enumerate(shape):
+        nbytes *= size or 1  # numpy sizes an array by its non-zero axes
+        if nbytes > limit:
+            raise ValueError(f"TNSR header: axis {axis} of shape {list(shape)} makes "
+                             f"the array larger than {limit} bytes")
     n = math.prod(shape)  # exact: numpy's int64 product would wrap
     if len(raw) != 8 * n:
         raise ValueError(f"TNSR payload is {len(raw)} bytes, expected {8 * n}")

@@ -151,12 +151,14 @@ def malformed_dir(tmp_path_factory):
     return root
 
 
-def assert_one_line_data_error(root, payload: bytes) -> None:
+def assert_one_line_data_error(root, payload: bytes) -> list:
     """``payload`` as `unify`'s input (MMPC, or TNSR without the MMPC magic)
-    and as `project`'s image features: exit 2, one `bevkit:` line, no output."""
+    and as `project`'s image features: exit 2, one `bevkit:` line, no output.
+    Returns the two messages."""
     bad, out = root / "bad", root / "out"
     bad.write_bytes(payload)
     k = str(root / "k.json")
+    messages = []
     for argv in (["unify", "--in", str(bad), "--intrinsics", k],
                  ["project", "--fi", str(bad), "--fd", str(bad), "--intrinsics", k]):
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -166,6 +168,8 @@ def assert_one_line_data_error(root, payload: bytes) -> None:
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
         assert stdout.getvalue() == "" and not out.exists()
+        messages.append(lines[0])
+    return messages
 
 
 def tnsr_bytes(data) -> bytes:
@@ -218,6 +222,15 @@ class TestMalformedFiles:
         st.binary(max_size=64))
     def test_mis_shaped_tnsr_header(self, malformed_dir, header, payload):
         assert_one_line_data_error(malformed_dir, json.dumps(header).encode() + b"\n" + payload)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4), st.integers(0, 3),
+           st.integers(2**60, 2**80), st.binary(max_size=16))
+    def test_oversized_tnsr_axis_is_named(self, malformed_dir, shape, axis, size, payload):
+        shape[axis] = size
+        messages = assert_one_line_data_error(
+            malformed_dir, json.dumps({"shape": shape}).encode() + b"\n" + payload)
+        assert all(m.startswith(f"bevkit: TNSR header: axis {axis} ") for m in messages)
 
     @settings(deadline=None, max_examples=60)
     @given(float32_points, st.integers(0, 2**32 - 1))
