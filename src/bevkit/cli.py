@@ -6,7 +6,7 @@ thresholds and bands) comes from the --config file alone, or from the
 built-in defaults; no subcommand flag overrides it.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
-randomness is seeded, timing is opt-in, every kernel is single-threaded
+randomness is seeded, nothing is timed, every kernel is single-threaded
 numpy with a fixed accumulation order, and JSON/CSV floats use shortest
 round-trip repr, so identical invocations write byte-identical files.
 --threads is accepted and has no effect.  Human summaries go to stdout,
@@ -103,16 +103,15 @@ def _cmd_bench(args, cfg: Config) -> int:
     taus = args.tau if args.tau else [0.0, 1e-3, 1e-2, 1e-1]
     K = bio.read_intrinsics(args.intrinsics) if args.intrinsics else _bench_intrinsics(args)
     rows = bench_projection(K, cfg.grid(), taus, seed=args.seed, c_i=args.ci, c_d=args.cd,
-                            h_f=args.hf, w_f=args.wf, timing=args.timing)
-    lines = ["tau,kept_ratio,wall_ms,checksum"]
+                            h_f=args.hf, w_f=args.wf)
+    lines = ["tau,kept_ratio,checksum"]
     for row in rows:
-        lines.append(f"{row['tau']!r},{row['kept_ratio']!r},{row['wall_ms']!r},{row['checksum']}")
+        lines.append(f"{row['tau']!r},{row['kept_ratio']!r},{row['checksum']}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
     for row in rows:
-        stamp = f" {row['wall_ms']:8.2f} ms" if args.timing else ""
-        print(f"tau={row['tau']:<8g} kept={row['kept_ratio']:8.4f}{stamp}")
+        print(f"tau={row['tau']:<8g} kept={row['kept_ratio']:8.4f}")
     return 0
 
 
@@ -298,7 +297,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--stats")
     p.set_defaults(fn=_cmd_project)
 
-    p = sub.add_parser("bench", help="benchmark pruned projection over thresholds")
+    p = sub.add_parser("bench", help="kept ratio of the pruned projection per threshold")
     p.add_argument("--tau", type=float, action="append")
     p.add_argument("--hf", type=int, default=32)
     p.add_argument("--wf", type=int, default=32)
@@ -306,8 +305,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ci", type=int, default=32)
     p.add_argument("--intrinsics")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timing", action="store_true",
-                   help="measure wall time into the CSV (output no longer reproducible)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
 

@@ -10,7 +10,6 @@ splat is one sparse product over the kept entries, so its cost follows them.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +196,12 @@ def synth_projection_inputs(seed: int, c_i: int, c_d: int, h_f: int, w_f: int):
 
 
 def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0,
-                     c_i: int = 32, c_d: int = 64, h_f: int = 32, w_f: int = 32,
-                     timing: bool = False):
-    """Prune + splat once per threshold; report kept ratio and checksum.
+                     c_i: int = 32, c_d: int = 64, h_f: int = 32, w_f: int = 32):
+    """Prune once per threshold; report the kept ratio and a checksum.
 
     The checksum column hashes the dense (tau = 0) output, so it is
     threshold-independent: rows benchmarked against different inputs
-    cannot be compared by accident.  Wall time is measured only when
-    ``timing`` is set, keeping the default report byte-reproducible.
+    cannot be compared by accident.
     """
     taus = [float(t) for t in taus]
     if any(t < 0 for t in taus):
@@ -214,10 +211,6 @@ def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0
     checksum = hashlib.sha256(dense.bev.data.tobytes()).hexdigest()[:16]
     rows = []
     for tau in taus:
-        t0 = time.perf_counter()
         sp = sparse_prune(f_d, tau)
-        splat_to_bev(f_i, sp, K, g)
-        wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-        rows.append({"tau": tau, "kept_ratio": sp.kept / sp.total, "wall_ms": wall_ms,
-                     "checksum": checksum})
+        rows.append({"tau": tau, "kept_ratio": sp.kept / sp.total, "checksum": checksum})
     return rows

@@ -79,6 +79,7 @@ class TestExitCodes:
         ("project", ["--uneven-bins"]),
         ("project", ["--grid", "grid.json"]),
         ("bench", ["--grid", "grid.json"]),
+        ("bench", ["--timing"]),
         ("unify", ["--tol", "0.3"]),
         ("unify", ["--kind", "mmpc"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
@@ -518,7 +519,7 @@ class TestBenchDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
-        assert header == "tau,kept_ratio,wall_ms,checksum"
+        assert header == "tau,kept_ratio,checksum"
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         base = ["bench", "--tau", "1e-3", "--seed", "9", "--hf", "8",
