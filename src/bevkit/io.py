@@ -122,7 +122,7 @@ def read_tnsr(path) -> FeatureMap:
         if nbytes > limit:
             raise ValueError(f"TNSR header: axis {axis} of shape {list(shape)} makes "
                              f"the array larger than {limit} bytes")
-    n = math.prod(shape)  # exact: numpy's int64 product would wrap
+    n = math.prod(shape)
     if len(raw) != 8 * n:
         raise ValueError(f"TNSR payload is {len(raw)} bytes, expected {8 * n}")
     return FeatureMap(np.frombuffer(raw, dtype="<f8").reshape(shape))
