@@ -9,7 +9,10 @@ in tier-1 and fails on any difference.  The digests cover:
 - the sha256 of every file that acceptance criterion 10's CLI run
   (``_run_all_subcommands`` in ``tests/test_acceptance.py``) writes;
 - ``bench/workloads.py``'s ``frame_digest``/``eval_digest`` of every input
-  of ``frame_outdoor``, ``frame_indoor`` and ``eval_mixed`` at seeds 1-3.
+  of ``frame_outdoor``, ``frame_indoor`` and ``eval_mixed`` at seeds 1-3;
+- the sha256 of the float64 bytes of ``iou3d`` over every
+  ``eval_mixed`` pair (``workloads.eval_pairs``, in pair order) at seeds
+  1-3, since the metrics see an IoU only where it crosses a threshold.
 
 Re-blessing declares an output change: CHANGES.md must name the outputs
 that moved and the largest difference measured.
@@ -60,8 +63,24 @@ def workload_digests() -> dict:
     return out
 
 
+def iou_digests() -> dict:
+    """sha256 of every ``eval_mixed`` pair's IoU bits, seeds 1-3."""
+    import numpy as np
+    import workloads as wl
+
+    from bevkit.eval3d import iou3d
+
+    out = {}
+    for seed in SEEDS:
+        (es,) = wl.WORKLOADS["eval_mixed"].make_inputs(wl.make_rng("eval_mixed", seed),
+                                                       wl.Settings.default())
+        ious = np.array([iou3d(p, g) for p, g in wl.eval_pairs(es)], dtype=np.float64)
+        out[f"eval_mixed/seed{seed}/ious"] = hashlib.sha256(ious.tobytes()).hexdigest()
+    return out
+
+
 def compute_digests(root: Path) -> dict:
-    return dict(sorted({**cli_digests(root), **workload_digests()}.items()))
+    return dict(sorted({**cli_digests(root), **workload_digests(), **iou_digests()}.items()))
 
 
 def moves(old: dict, new: dict) -> list:
