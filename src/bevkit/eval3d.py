@@ -1,14 +1,18 @@
 """Oriented 3D IoU and average-precision evaluation harness.
 
-IoU is exact for full 3x3 rotations.  Two boxes whose bounding spheres
-are disjoint cannot meet, so such pairs score 0 before any geometry runs.
-Otherwise the intersection is a convex polytope whose vertices are
-enumerated directly: the corners of each box that lie inside the other,
-and the points where the 12 edges of each box cross the 6 face planes of
-the other and lie inside it.  The intersection volume is the volume of
-their convex hull.  Matching is greedy in descending score with
-all-point (precision envelope) PR integration, reported per category,
-IoU threshold, and depth band.
+IoU is exact for full 3x3 rotations, and one code path computes it for
+any number of box pairs at once: ``match_and_ap`` runs it once per
+category over every same-image (prediction, ground truth) pair, and
+``iou3d`` is its one-pair call.  Two boxes whose bounding spheres are
+disjoint cannot meet, so one array pass scores such pairs 0 before any
+geometry runs.  For the pairs that remain, the intersection is a convex
+polytope whose vertices are enumerated for all pairs together: the
+corners of each box that lie inside the other, and the points where the
+12 edges of each box cross the 6 face planes of the other and lie inside
+it.  The intersection volume is the volume of their convex hull, built
+per pair.  Matching is greedy in descending score, in one pass for every
+IoU threshold, with all-point (precision envelope) PR integration,
+reported per category, IoU threshold, and depth band.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .geom import Box3D, box_corners
+from .geom import Box3D, corners_of
 
 # Slack for rounding of points that lie on a face.  Every point admitted
 # up to this far outside the other box inflates the hull, so it stays far
@@ -27,56 +31,83 @@ from .geom import Box3D, box_corners
 _PLANE_EPS = 1e-12
 _MIN_VOLUME = 1e-12
 
-# The 12 edges of a box as corner-index pairs in box_corners order: two
+# The 12 edges of a box as corner-index pairs in corners_of order: two
 # corners share an edge when their sign patterns differ in one axis.
 _EDGES = np.array([(i, i | bit) for i in range(8) for bit in (1, 2, 4) if not i & bit])
+# The axis of each face plane, in the order x-, y-, z-, x+, y+, z+
+_PLANE_AXIS = np.tile(np.arange(3), 2)
 
 
-def _local(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """World points expressed in the box's own frame."""
-    return (points - box.center) @ box.rotation
+def _stack(boxes: Sequence[Box3D]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centres (n, 3), dims (n, 3) and rotations (n, 3, 3) of ``boxes``."""
+    return (np.array([b.center for b in boxes]).reshape(-1, 3),
+            np.array([b.dims for b in boxes]).reshape(-1, 3),
+            np.array([b.rotation for b in boxes]).reshape(-1, 3, 3))
 
 
-def _inside(local: np.ndarray, box: Box3D) -> np.ndarray:
-    return np.all(np.abs(local) <= 0.5 * box.dims + _PLANE_EPS, axis=-1)
+def _norms(v: np.ndarray) -> np.ndarray:
+    # row-wise v . v as a dot product, rounded as np.linalg.norm of one row
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _edge_crossings(corners: np.ndarray, box: Box3D) -> np.ndarray:
-    """Points where the edges between ``corners`` cross the face planes
-    of ``box`` and that lie inside ``box``."""
-    local = _local(corners, box)
-    p, q = local[_EDGES[:, 0]], local[_EDGES[:, 1]]
-    half = 0.5 * box.dims
-    planes = np.concatenate([-half, half])  # x-, y-, z-, x+, y+, z+
-    axis = np.tile(np.arange(3), 2)
+def _vertex_candidates(corners, center, rotation, dims):
+    """Candidate vertices that one box of each pair, given by its
+    (P, 8, 3) ``corners``, adds to its intersection with the other box:
+    which corners lie inside the other box, and the (P, 72, 3) crossings
+    of its edges with the other box's face planes in (edge, plane) order,
+    with which of them lie on the edge and inside the other box."""
+    half = 0.5 * dims[:, None, :]
+    limit = half + _PLANE_EPS
+    local = (corners - center[:, None, :]) @ rotation
+    corner_in = np.all(np.abs(local) <= limit, axis=-1)
+    p, q = local[:, _EDGES[:, 0]], local[:, _EDGES[:, 1]]
+    planes = np.concatenate([-half, half], axis=-1)
+    step = q - p
+    # (edge, plane) parameter; an edge parallel to a plane gives nan or inf
+    t = (planes - p[:, :, _PLANE_AXIS]) / step[:, :, _PLANE_AXIS]
+    cross_in = (t >= 0.0) & (t <= 1.0)
+    t = t[..., None]
+    point = p[:, :, None, :] + t * step[:, :, None, :]
+    cross_in &= np.all(np.abs(point) <= limit[:, None], axis=-1)
+    start, stop = corners[:, _EDGES[:, 0]], corners[:, _EDGES[:, 1]]
+    cross = start[:, :, None, :] + t * (stop - start)[:, :, None, :]
+    return corner_in, cross.reshape(len(corners), -1, 3), cross_in.reshape(len(corners), -1)
+
+
+def _pair_ious(a, b) -> np.ndarray:
+    """IoU of each pair of boxes ``a[k]``, ``b[k]``, where ``a`` and ``b``
+    are (centres, dims, rotations) stacks of P boxes each."""
+    (ca, da, ra), (cb, db, rb) = a, b
+    vol_a, vol_b = np.prod(da, axis=1), np.prod(db, axis=1)
+    if np.any(vol_a < _MIN_VOLUME) or np.any(vol_b < _MIN_VOLUME):
+        raise ValueError("degenerate (near-zero volume) box")
+    ious = np.zeros(len(ca))
+    # disjoint bounding spheres: the boxes cannot meet
+    radii = 0.5 * (_norms(da) + _norms(db))
+    near = np.flatnonzero(~(_norms(ca - cb) > radii))
+    if near.size == 0:
+        return ious
+    ca, da, ra, cb, db, rb = (x[near] for x in (ca, da, ra, cb, db, rb))
+    corners_a, corners_b = corners_of(ca, da, ra), corners_of(cb, db, rb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # (edge, plane) parameter; an edge parallel to a plane gives nan or inf
-        t = (planes - p[:, axis]) / (q - p)[:, axis]
-    hit = (t >= 0.0) & (t <= 1.0)
-    e = np.nonzero(hit)[0]
-    t = t[hit][:, None]
-    keep = _inside(p[e] + t * (q[e] - p[e]), box)
-    start, stop = corners[_EDGES[e, 0]], corners[_EDGES[e, 1]]
-    return (start + t * (stop - start))[keep]
-
-
-def _intersection_volume(a: Box3D, b: Box3D) -> float:
-    """Volume of the convex hull of every vertex of the intersection
-    polytope: corners of one box inside the other, and crossings of one
-    box's edges with the other box's face planes."""
-    ca, cb = box_corners(a), box_corners(b)
-    vertices = np.concatenate([
-        ca[_inside(_local(ca, b), b)],
-        cb[_inside(_local(cb, a), a)],
-        _edge_crossings(ca, b),
-        _edge_crossings(cb, a),
-    ])
-    if len(vertices) < 4:
-        return 0.0
-    try:
-        return float(ConvexHull(vertices).volume)
-    except QhullError:
-        return 0.0  # flat or degenerate intersection has zero volume
+        a_in_b, cross_a, cross_a_in = _vertex_candidates(corners_a, cb, rb, db)
+        b_in_a, cross_b, cross_b_in = _vertex_candidates(corners_b, ca, ra, da)
+    # per pair: a's corners in b, b's corners in a, a's crossings, b's crossings
+    candidates = np.concatenate([corners_a, corners_b, cross_a, cross_b], axis=1)
+    keep = np.concatenate([a_in_b, b_in_a, cross_a_in, cross_b_in], axis=1)
+    vertices = candidates[keep]
+    counts = keep.sum(axis=1)
+    stops = np.cumsum(counts)
+    inter = np.zeros(near.size)
+    for k in np.flatnonzero(counts >= 4):
+        try:
+            inter[k] = ConvexHull(vertices[stops[k] - counts[k]:stops[k]]).volume
+        except QhullError:
+            pass  # flat or degenerate intersection has zero volume
+    va, vb = vol_a[near], vol_b[near]
+    inter = np.minimum(np.minimum(inter, va), vb)
+    ious[near] = inter / (va + vb - inter)
+    return ious
 
 
 def _require_exact(method: str) -> None:
@@ -91,15 +122,7 @@ def iou3d(a: Box3D, b: Box3D, method: str = "exact") -> float:
     Exact for full 3x3 rotations.  ``method`` accepts only ``"exact"``.
     """
     _require_exact(method)
-    vol_a, vol_b = a.volume, b.volume
-    if vol_a < _MIN_VOLUME or vol_b < _MIN_VOLUME:
-        raise ValueError("degenerate (near-zero volume) box")
-    # disjoint bounding spheres: the boxes cannot meet
-    radii = 0.5 * (np.linalg.norm(a.dims) + np.linalg.norm(b.dims))
-    if np.linalg.norm(a.center - b.center) > radii:
-        return 0.0
-    inter = min(_intersection_volume(a, b), vol_a, vol_b)
-    return inter / (vol_a + vol_b - inter)
+    return float(_pair_ious(_stack([a]), _stack([b]))[0])
 
 
 _DEFAULT_THRESHOLDS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
@@ -168,35 +191,46 @@ def _ap_from_flags(tp_flags: np.ndarray, n_gt: int) -> Optional[float]:
 
 class _Category:
     """One category, built once: its predictions in descending score
-    (ties in input order), each with the ground truths of its image and
-    their IoUs, and the depth band of every box."""
+    (ties in input order), every same-image (prediction, ground truth)
+    pair with its IoU, and the depth band of every box."""
 
     def __init__(self, preds, gts, bands):
         # preds, gts: (image, box) pairs in input order
         order = np.argsort([-box.score for _, box in preds], kind="stable")
         preds = [preds[i] for i in order]
-        gts_of: Dict[int, List[int]] = {}
-        for j, (img, _) in enumerate(gts):
-            gts_of.setdefault(img, []).append(j)
-        self.candidates = [np.array(gts_of.get(img, []), dtype=np.int64) for img, _ in preds]
-        self.ious = [np.array([iou3d(box, gts[j][1]) for j in cand])
-                     for (_, box), cand in zip(preds, self.candidates)]
+        pred_img = np.array([img for img, _ in preds], dtype=np.int64)
+        gt_img = np.array([img for img, _ in gts], dtype=np.int64)
+        # prediction-major, each prediction's ground truths in input order
+        self.pair_pred, self.pair_gt = np.nonzero(pred_img[:, None] == gt_img[None, :])
+        p, g = _stack([box for _, box in preds]), _stack([box for _, box in gts])
+        self.ious = _pair_ious(tuple(x[self.pair_pred] for x in p),
+                               tuple(x[self.pair_gt] for x in g))
         self.gt_band = np.array([band_of(float(b.center[2]), bands) for _, b in gts],
                                 dtype=np.int64)
         self.pred_band = np.array([band_of(float(b.center[2]), bands) for _, b in preds],
                                   dtype=np.int64)
 
-    def match(self, threshold: float) -> np.ndarray:
-        """Greedy matching in score order at one IoU threshold: the index
-        of the ground truth each prediction takes, or -1 for none."""
-        taken = np.zeros(self.gt_band.size, dtype=bool)
-        matched = np.full(len(self.ious), -1, dtype=np.int64)
-        for i, (cand, ious) in enumerate(zip(self.candidates, self.ious)):
-            free = (ious >= threshold) & ~taken[cand]
-            if free.any():
-                j = cand[free][np.argmax(ious[free])]
-                taken[j] = True
-                matched[i] = j
+    def match(self, thresholds: Sequence[float]) -> np.ndarray:
+        """Greedy matching in score order at every IoU threshold in one
+        pass: (threshold, prediction) -> the index of the ground truth the
+        prediction takes, or -1 for none.  Each prediction takes the first
+        free candidate with the highest IoU at or above the threshold."""
+        thr = np.asarray(thresholds, dtype=np.float64)[:, None]
+        taken = np.zeros((thr.size, self.gt_band.size), dtype=bool)
+        matched = np.full((thr.size, self.pred_band.size), -1, dtype=np.int64)
+        rows = np.arange(thr.size)
+        # a pair below every threshold can never be taken
+        viable = self.ious >= thr.min()
+        pred, gt, ious = self.pair_pred[viable], self.pair_gt[viable], self.ious[viable]
+        starts = np.flatnonzero(np.diff(pred, prepend=-1))
+        for i, cand, iou in zip(pred[starts], np.split(gt, starts[1:]),
+                                np.split(ious, starts[1:])):
+            free = (iou >= thr) & ~taken[:, cand]
+            best = np.where(free, iou, -np.inf).argmax(axis=1)
+            hit = free[rows, best]
+            j = cand[best[hit]]
+            taken[hit, j] = True
+            matched[hit, i] = j
         return matched
 
 
@@ -231,11 +265,12 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     band_aps: Dict[str, List[float]] = {name: [] for name in cfg.band_names}
     mean_at: Dict[float, Optional[float]] = {}
 
-    for thr in report_thresholds:
+    matched_at = {cat: c.match(report_thresholds) for cat, c in by_cat.items()}
+    for row, thr in enumerate(report_thresholds):
         cat_aps = []
         for cat in categories:
             c = by_cat[cat]
-            matched = c.match(thr)
+            matched = matched_at[cat][row]
             tp = matched >= 0
             ap = _ap_from_flags(tp, c.gt_band.size)
             per_cat[str(cat)][f"{thr:.2f}"] = ap

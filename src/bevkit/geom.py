@@ -132,8 +132,14 @@ _CORNER_SIGNS = np.array(
 
 def box_corners(box: Box3D) -> np.ndarray:
     """8 corners (8, 3) in the documented sign order above."""
-    local = _CORNER_SIGNS * (box.dims * 0.5)
-    return box.center + local @ box.rotation.T
+    return corners_of(box.center, box.dims, box.rotation)
+
+
+def corners_of(centers: np.ndarray, dims: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Corners (..., 8, 3) of stacked boxes given as (..., 3) centres and
+    dims and (..., 3, 3) rotations, in the sign order of ``box_corners``."""
+    local = _CORNER_SIGNS * (dims[..., None, :] * 0.5)
+    return centers[..., None, :] + local @ np.swapaxes(rotations, -1, -2)
 
 
 @dataclass(frozen=True)

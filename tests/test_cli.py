@@ -457,6 +457,17 @@ class TestEval:
         assert metrics["ap25"] == 1.0 and metrics["ap50"] == 1.0
         assert "headline AP: 1.0000" in msg
 
+    def test_degenerate_box_is_a_data_error(self, capsys, tmp_path):
+        bio.write_boxes_jsonl(tmp_path / "gt.jsonl", [Box3D([0, 0, 5], [1e-5] * 3, np.eye(3))])
+        bio.write_boxes_jsonl(tmp_path / "pred.jsonl",
+                              [Box3D([0, 0, 5], [2, 2, 2], np.eye(3), score=0.9)])
+        out = tmp_path / "metrics.json"
+        code, _, err = run(capsys, "eval", "--gt", str(tmp_path / "gt.jsonl"),
+                           "--pred", str(tmp_path / "pred.jsonl"), "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: degenerate (near-zero volume) box"]
+        assert not out.exists()
+
     def test_custom_eval_config(self, capsys, tmp_path):
         gt = [Box3D([0, 0, 5], [2, 2, 2], np.eye(3))]
         bio.write_boxes_jsonl(tmp_path / "gt.jsonl", gt)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from bevkit.eval3d import MatchConfig, band_of, iou3d, match_and_ap
+from bevkit.eval3d import (MatchConfig, _Category, _pair_ious, _stack, band_of, iou3d,
+                           match_and_ap)
 from bevkit.geom import Box3D, Pose, yaw_rotation
 
 
@@ -219,6 +220,56 @@ class TestIou3dFullRotations:
         assert abs(iou3d(a, b) - expected) <= 1e-9
 
 
+@st.composite
+def sphere_disjoint_pairs(draw):
+    """A rotated pair moved apart until its bounding spheres are disjoint."""
+    a, b = draw(rotated_pairs())
+    radii = 0.5 * (np.linalg.norm(a.dims) + np.linalg.norm(b.dims))
+    gap = draw(st.floats(1e-6, 3.0))
+    return a, Box3D(a.center + (radii + gap) * draw(directions), b.dims, b.rotation)
+
+
+@st.composite
+def touching_pairs(draw):
+    """Two boxes of one rotation that share part of a face plane."""
+    rot = draw(rotations)
+    a = Box3D(np.array(draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))), draw(extents), rot)
+    dims_b = np.array(draw(extents))
+    axis, side = draw(st.integers(0, 2)), draw(st.sampled_from((-1.0, 1.0)))
+    shift = side * 0.5 * (a.dims[axis] + dims_b[axis]) * rot[:, axis]
+    return a, Box3D(a.center + shift, dims_b, rot)
+
+
+@st.composite
+def coincident_pairs(draw):
+    a, _ = draw(rotated_pairs())
+    return a, Box3D(a.center, a.dims, a.rotation)
+
+
+mixed_pairs = st.one_of(rotated_pairs(), sphere_disjoint_pairs(), touching_pairs(),
+                        coincident_pairs())
+
+
+class TestPairIous:
+    """The batched core against its own one-pair call, bit for bit."""
+
+    @staticmethod
+    def batch(pairs) -> np.ndarray:
+        return _pair_ious(_stack([a for a, _ in pairs]), _stack([b for _, b in pairs]))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(mixed_pairs, min_size=1, max_size=12), st.data())
+    def test_batch_equals_one_pair_calls_in_any_order(self, pairs, data):
+        got = self.batch(pairs)
+        expected = np.array([iou3d(a, b) for a, b in pairs])
+        assert got.tobytes() == expected.tobytes()
+        order = data.draw(st.permutations(range(len(pairs))))
+        assert self.batch([pairs[k] for k in order]).tobytes() == got[order].tobytes()
+
+    def test_empty_batch(self):
+        assert self.batch([]).shape == (0,)
+
+
 class TestMatchAndAp:
     def gt(self, z=5.0, cat=0, image=0):
         return (image, Box3D([0.0, 0.0, z], [2.0, 2.0, 2.0], np.eye(3), category=cat))
@@ -325,6 +376,59 @@ class TestMatchAndAp:
     def test_prediction_without_score_rejected(self):
         with pytest.raises(ValueError):
             match_and_ap([(0, Box3D([0, 0, 5], [1, 1, 1], np.eye(3)))], [self.gt()])
+
+
+class TestDegenerateBoxes:
+    """A box below the volume floor fails the eval only when it is paired."""
+
+    tiny = Box3D([0.0, 0.0, 5.0], [1e-5, 1e-5, 1e-5], np.eye(3), category=0)
+
+    def box(self, z=5.0, cat=0, score=None):
+        return Box3D([0.0, 0.0, z], [2.0, 2.0, 2.0], np.eye(3), category=cat, score=score)
+
+    @pytest.mark.parametrize("z", [5.0, 60.0])
+    def test_paired_degenerate_box_raises(self, z):
+        # at z=60 the pair is sphere-disjoint: the volume check comes first
+        scored = Box3D(self.tiny.center, self.tiny.dims, self.tiny.rotation, score=0.5)
+        for preds, gts in (([(0, self.box(z, score=0.9))], [(0, self.tiny)]),
+                           ([(0, scored)], [(0, self.box(z))])):
+            with pytest.raises(ValueError) as exc:
+                match_and_ap(preds, gts)
+            assert str(exc.value) == "degenerate (near-zero volume) box"
+
+    @pytest.mark.parametrize("image, cat", [(1, 0), (0, 1)])
+    def test_unpaired_degenerate_box_scores_normally(self, image, cat):
+        tiny = Box3D(self.tiny.center, self.tiny.dims, self.tiny.rotation, category=cat)
+        regular = self.box(cat=cat)
+        preds = [(0, self.box(score=0.9))]
+        expected = match_and_ap(preds, [(0, self.box()), (image, regular)])
+        assert match_and_ap(preds, [(0, self.box()), (image, tiny)]) == expected
+
+
+class TestAllThresholdMatcher:
+    """The one-pass matcher keeps one taken row per threshold."""
+
+    bands = MatchConfig().depth_bands
+
+    def cube(self, x, score=None):
+        return Box3D([x, 0.0, 5.0], [2.0, 2.0, 2.0], np.eye(3), score=score)
+
+    def test_equal_ious_take_the_first_ground_truth(self):
+        pred = self.cube(0.0, score=1.0)
+        right, left = self.cube(0.5), self.cube(-0.5)
+        assert iou3d(pred, right) == iou3d(pred, left)
+        for gts in ([right, left], [left, right]):
+            cat = _Category([(0, pred)], [(0, g) for g in gts], self.bands)
+            assert cat.match([0.1, 0.5]).tolist() == [[0], [0]]
+
+    def test_taken_at_a_low_threshold_stays_free_at_a_high_one(self):
+        # IoU 1/3 for the first prediction, 1.8/2.2 for the second
+        preds = [(0, self.cube(1.0, score=0.9)), (0, self.cube(0.2, score=0.5))]
+        gts = [(0, self.cube(0.0))]
+        cat = _Category(preds, gts, self.bands)
+        assert cat.match([0.10, 0.50]).tolist() == [[0, -1], [-1, 0]]
+        result = match_and_ap(preds, gts, MatchConfig(iou_thresholds=(0.10, 0.50)))
+        assert result["ap_per_threshold"] == {"0.10": 1.0, "0.25": 1.0, "0.50": 0.5}
 
 
 class TestDepthBands:
