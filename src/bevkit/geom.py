@@ -223,6 +223,15 @@ def project_point(p, K: CameraIntrinsics) -> Projection:
 
 def project_points(xyz: np.ndarray, K: CameraIntrinsics):
     """Vectorized projection: returns (u, v, z, in_view) arrays."""
+    u, v, z, _, in_view = _project(xyz, K)
+    return u, v, z, in_view
+
+
+def _project(xyz, K: CameraIntrinsics):
+    """``project_points``' (u, v, z, in_view) and each point's pixel index
+    vi * width + ui; an out-of-view point gets the one extra index
+    width * height, so a per-pixel buffer of width * height + 1 entries
+    takes every point without a gather."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     z = xyz[:, 2]
     front = z > _MIN_DEPTH
@@ -231,7 +240,10 @@ def project_points(xyz: np.ndarray, K: CameraIntrinsics):
     v = K.fy * xyz[:, 1] / safe_z + K.cy
     ui, vi = pixel_cell(u, v)
     in_view = front & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-    return u, v, z, in_view
+    vi *= K.width
+    vi += ui
+    pixel = np.where(in_view, vi, K.width * K.height)
+    return u, v, z, pixel, in_view
 
 
 def unproject_pixel(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:
@@ -242,8 +254,17 @@ def unproject_pixel(u: float, v: float, z: float, K: CameraIntrinsics) -> np.nda
 
 
 def transform_cloud(pc: PointCloud, pose: Pose) -> PointCloud:
-    """Apply a rigid transform to every point; intensity and order kept."""
+    """Apply a rigid transform to every point; intensity and order kept.
+
+    ``Pose.apply``'s arithmetic, bit for bit: the same matrix product,
+    written straight into the first three columns of one (N, 4) buffer,
+    then the translation added column by column (a broadcast add over
+    rows of three costs several times more)."""
     if len(pc) == 0:
         return pc
-    moved = pose.apply(pc.xyz)
-    return PointCloud(np.column_stack([moved, pc.intensity]))
+    moved = np.empty_like(pc.points)
+    np.matmul(pc.xyz, pose.rotation.T, out=moved[:, :3])
+    for k in range(3):
+        moved[:, k] += pose.translation[k]
+    moved[:, 3] = pc.intensity
+    return PointCloud(moved)

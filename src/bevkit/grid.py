@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .io import json_array, json_value
 
 OUT_OF_RANGE = -1
+_MAX_SLOTS = 1 << 16
 
 
 def depth_edges(z_min: float, z_max: float, n_bins: int, uneven: bool = True) -> np.ndarray:
@@ -68,6 +70,7 @@ class UnevenGridSpec:
             raise ValueError("depth_edges must be strictly increasing")
         edges.setflags(write=False)
         object.__setattr__(self, "depth_edges", edges)
+        object.__setattr__(self, "_slots", _SlotTable.build(edges))
 
     @property
     def lateral_width(self) -> float:
@@ -96,6 +99,57 @@ class UnevenGridSpec:
         )
 
 
+class _SlotTable(NamedTuple):
+    """Uniform slots over [z_min, z_max] that narrow a depth lookup to the
+    few bins a slot can hold.
+
+    ``slot_of`` is monotone in z.  So an inner edge whose own slot is
+    below a z's slot lies below z, and one whose slot is above lies above
+    it: ``first_bin`` holds, per slot, the count of inner edges in lower
+    slots, and only the edges that share the slot remain to compare,
+    by binary lifting over ``upper`` (the inner edges, then +inf padding)
+    with ``steps`` halving down to 1.  The bound holds for any strictly
+    increasing edges, so every grid takes this one path."""
+
+    z_min: float
+    scale: float
+    first_bin: np.ndarray
+    upper: np.ndarray
+    steps: tuple
+
+    @classmethod
+    def build(cls, edges: np.ndarray) -> "_SlotTable":
+        inner = edges[1:-1]
+        span = edges[-1] - edges[0]
+        # slots of half the narrowest bin, so an even or uneven grid
+        # shares at most one inner edge per slot
+        with np.errstate(over="ignore"):   # the narrowest bin may be subnormal
+            per_narrowest = span / np.min(np.diff(edges))
+        n_slots = int(min(_MAX_SLOTS, 2 * np.ceil(per_narrowest)))
+        table = cls(float(edges[0]), n_slots / span, np.empty(n_slots, np.int64), inner, ())
+        slots = table.slot_of(inner)
+        straddle = int(np.bincount(slots).max()) if slots.size else 0
+        steps = tuple(1 << k for k in reversed(range(straddle.bit_length())))
+        return table._replace(
+            first_bin=np.searchsorted(slots, np.arange(n_slots), side="left"),
+            upper=np.concatenate([inner, np.full(sum(steps), np.inf)]),
+            steps=steps,
+        )
+
+    def slot_of(self, z: np.ndarray) -> np.ndarray:
+        return _floor_clipped((z - self.z_min) * self.scale, self.first_bin.size - 1)
+
+
+def _floor_clipped(t: np.ndarray, top: int) -> np.ndarray:
+    """floor(t) clipped to [0, top] as int64; NaN gives 0."""
+    return np.fmin(np.fmax(t, 0.0), top).astype(np.int64)
+
+
+def _in_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo <= v <= hi and v finite."""
+    return (v >= lo) & (v <= hi) & np.isfinite(v)
+
+
 def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> UnevenGridSpec:
     """Construct the grid; depth edges uneven by default, lateral uniform."""
     if n_x < 1 or n_z < 1:
@@ -112,11 +166,13 @@ def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
     """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
     maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
     non-finite z (a normal path, not an error).  Accepts scalars."""
-    z = np.asarray(z, dtype=np.float64)
-    idx = np.searchsorted(g.depth_edges, z, side="right") - 1
-    idx = np.where(z == g.z_range[1], g.n_z - 1, idx)
-    bad = (z < g.z_range[0]) | (z > g.z_range[1]) | ~np.isfinite(z)
-    return np.where(bad, OUT_OF_RANGE, idx).astype(np.int64)
+    z = np.asarray(z, dtype=np.float64, order="C")
+    shape, z = z.shape, z.reshape(-1)
+    table = g._slots
+    idx = table.first_bin[table.slot_of(z)]
+    for step in table.steps:
+        np.add(idx, step, out=idx, where=z >= table.upper[step - 1:][idx])
+    return np.where(_in_range(z, *g.z_range), idx, OUT_OF_RANGE).reshape(shape)
 
 
 def lateral_bins_of(x, g: UnevenGridSpec) -> np.ndarray:
@@ -124,12 +180,9 @@ def lateral_bins_of(x, g: UnevenGridSpec) -> np.ndarray:
     float64, capped at n_x - 1 so that x == x_max maps to the last bin;
     OUT_OF_RANGE outside [x_min, x_max] or for a non-finite x (a normal
     path, not an error).  Accepts scalars."""
-    x = np.asarray(x, dtype=np.float64)
-    bad = (x < g.x_range[0]) | (x > g.x_range[1]) | ~np.isfinite(x)
-    safe = np.where(bad, g.x_range[0], x)
-    idx = np.floor((safe - g.x_range[0]) / g.lateral_width).astype(np.int64)
-    idx = np.minimum(idx, g.n_x - 1)
-    return np.where(bad, OUT_OF_RANGE, idx)
+    x = np.asarray(x, dtype=np.float64, order="C")
+    idx = _floor_clipped((x - g.x_range[0]) / g.lateral_width, g.n_x - 1)
+    return np.where(_in_range(x, *g.x_range), idx, OUT_OF_RANGE)
 
 
 def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .geom import CameraIntrinsics, PointCloud, pixel_cell, project_points
+from .geom import CameraIntrinsics, PointCloud, _project
 from .grid import UnevenGridSpec, cell_centers, cells_of
 
 # BEV masks are plain (n_z, n_x) boolean arrays.
@@ -75,12 +76,15 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
             f"depth map is {dm.width}x{dm.height} but intrinsics expect "
             f"{K.width}x{K.height}"
         )
-    valid = np.isfinite(dm.depths) & (dm.depths > 0)
-    vv, uu = np.nonzero(valid)
-    z = dm.depths[vv, uu]
-    x = (uu - K.cx) * z / K.fx
-    y = (vv - K.cy) * z / K.fy
-    return PointCloud(np.column_stack([x, y, z, np.ones(z.size)]))
+    flat = np.flatnonzero(np.isfinite(dm.depths) & (dm.depths > 0))
+    vv, uu = np.divmod(flat, dm.width)
+    z = dm.depths.ravel()[flat]
+    points = np.empty((flat.size, 4))
+    points[:, 0] = (uu - K.cx) * z / K.fx
+    points[:, 1] = (vv - K.cy) * z / K.fy
+    points[:, 2] = z
+    points[:, 3] = 1.0
+    return PointCloud(points)
 
 
 def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> PointCloud:
@@ -103,27 +107,28 @@ def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     """``visibility_filter``'s survivors and ``unify_stats``' counts from
     one z-buffer pass; returns (PointCloud, dict)."""
     survive, in_view = _visibility_mask(pc, K, tol)
-    return PointCloud(pc.points[survive]), _unify_counts(survive, in_view)
+    kept = np.compress(survive, pc.points, axis=0)
+    return PointCloud(kept), _unify_counts(survive, in_view)
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
-    """The one z-buffer pass behind every visibility entry point."""
+    """The one z-buffer pass behind every visibility entry point.
+
+    Every point enters the z-buffer: out-of-view points all land in its
+    one extra dump pixel, which no in-view point reads."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    u, v, z, in_view = project_points(pc.xyz, K)
-    ui, vi = pixel_cell(u[in_view], v[in_view])
-    cells = vi * K.width + ui
-    minz = np.full(K.width * K.height, np.inf)
-    np.minimum.at(minz, cells, z[in_view])
-    survive = np.zeros(len(pc), dtype=bool)
-    survive[in_view] = z[in_view] <= minz[cells] + tol
+    _, _, z, pixel, in_view = _project(pc.xyz, K)
+    minz = np.full(K.width * K.height + 1, np.inf)
+    np.minimum.at(minz, pixel, z)
+    survive = in_view & (z <= minz[pixel] + tol)
     return survive, in_view
 
 
 def _unify_counts(survive: np.ndarray, in_view: np.ndarray) -> dict:
     n = survive.size
-    n_out = int(np.sum(~in_view))
-    n_kept = int(np.sum(survive))
+    n_out = n - int(np.count_nonzero(in_view))
+    n_kept = int(np.count_nonzero(survive))
     return {
         "input": n,
         "out_of_view": n_out,
@@ -141,17 +146,18 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     Pillars follow ascending cell order; each sums its points in input
     order.
     """
+    n = len(pc)
     cells = cells_of(pc.xyz[:, 0], pc.xyz[:, 2], g)
-    valid = cells >= 0
-    cells = cells[valid]
-    counts = np.bincount(cells, minlength=g.n_cells)
-    seg_cells = np.flatnonzero(counts)
+    cells[cells < 0] = g.n_cells     # off-grid rows go to one dump bin
+    counts = np.bincount(cells, minlength=g.n_cells + 1)
+    n_dropped = int(counts[g.n_cells])
+    seg_cells = np.flatnonzero(counts[:g.n_cells])
     counts = counts[seg_cells]
-    points = pc.points[valid]
-    sums = np.column_stack([
-        np.bincount(cells, weights=points[:, k], minlength=g.n_cells)[seg_cells]
-        for k in range(points.shape[1])
-    ])
+    # one entry per row; scipy's csc_matvecs adds each row to its cell's
+    # sum in row order, and 1.0 * x is exact
+    by_row = scipy.sparse.csc_matrix((np.ones(n), cells, np.arange(n + 1)),
+                                     shape=(g.n_cells + 1, n))
+    sums = (by_row @ pc.points)[seg_cells]
     means = sums / counts[:, None]
     center_x, center_z = cell_centers(seg_cells, g)
     offsets = np.column_stack([means[:, 0] - center_x, means[:, 2] - center_z])
@@ -159,8 +165,8 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
         cells=np.column_stack(np.divmod(seg_cells, g.n_x)),
         counts=counts.astype(np.int64),
         features=np.column_stack([means, offsets]),
-        n_assigned=int(valid.sum()),
-        n_dropped=int(len(pc) - valid.sum()),
+        n_assigned=n - n_dropped,
+        n_dropped=n_dropped,
     )
 
 

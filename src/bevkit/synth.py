@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .geom import Box3D, CameraIntrinsics, PointCloud, pixel_cell, project_points, unproject_pixel, yaw_rotation
+from .geom import Box3D, CameraIntrinsics, PointCloud, _project, unproject_pixel, yaw_rotation
 from .grid import depth_bin_centers
 from .liftsplat import DepthDistribution
 from .pointpipe import visibility_filter
@@ -122,8 +122,8 @@ def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution
     h_f, w_f = K.height // ds, K.width // ds
     depth = np.full((h_f, w_f), spec.bev_z_range[1] * 0.95)
     if len(cloud):
-        u, v, z, in_view = project_points(cloud.xyz, K)
-        ui, vi = pixel_cell(u[in_view], v[in_view])
+        _, _, z, pixel, in_view = _project(cloud.xyz, K)
+        vi, ui = np.divmod(pixel[in_view], K.width)
         fu = np.minimum(ui // ds, w_f - 1)
         fv = np.minimum(vi // ds, h_f - 1)
         flat = np.full(h_f * w_f, np.inf)

@@ -202,6 +202,68 @@ class TestCellsOf:
                                                reference_grid), cells)
 
 
+def _spec(z_lo: float, span: float, inner) -> UnevenGridSpec:
+    """A one-column grid over [z_lo, z_lo + span] with the given inner
+    edges, kept where they fall strictly inside and strictly increase."""
+    z_hi = z_lo + span
+    inner = np.unique(np.asarray(inner, dtype=np.float64))
+    inner = inner[(inner > z_lo) & (inner < z_hi)]
+    edges = np.concatenate([[z_lo], inner, [z_hi]])
+    return UnevenGridSpec((-1.0, 1.0), (z_lo, z_hi), 1, edges.size - 1, edges)
+
+
+class TestArbitraryEdges:
+    """``depth_bins_of``'s slot table against the bisect oracle on edges of
+    any spacing, built directly and read back from JSON."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        z_lo=st.floats(-50.0, 50.0), span=st.floats(0.01, 200.0),
+        fracs=st.lists(st.floats(0.0, 1.0), max_size=30),
+        tiny=st.booleans(), crowd=st.integers(0, 3),
+        extra=st.lists(st.floats(-1e3, 1e3), max_size=8),
+    )
+    def test_matches_bisect_oracle(self, cell_oracle, z_lo, span, fracs, tiny, crowd, extra):
+        inner = [z_lo + span * f for f in fracs]
+        if tiny:   # first bins of 1e-9 x span: the slot cap binds
+            inner += [z_lo + span * k * 1e-9 for k in (1, 2, 3)]
+        z = z_lo
+        for _ in range(crowd):   # bins one float apart
+            z = float(np.nextafter(z, np.inf))
+            inner.append(z)
+        g = _spec(z_lo, span, inner)
+        if tiny:   # three inner edges share the first slot: two lifting rounds
+            assert len(g._slots.steps) > 1
+        rng = np.random.default_rng(len(inner))
+        zs = np.concatenate([_near(g.depth_edges), [np.nan, np.inf, -np.inf], extra,
+                             rng.uniform(z_lo - 1.0, z_lo + span + 1.0, 200)])
+        for spec in (g, UnevenGridSpec.from_json(g.to_json())):
+            expected = [cell_oracle.depth_bin(z, spec) for z in zs]
+            np.testing.assert_array_equal(depth_bins_of(zs, spec), expected)
+            np.testing.assert_array_equal(cells_of(np.zeros_like(zs), zs, spec),
+                                          [cell_oracle.cell(0.0, z, spec) for z in zs])
+            for z, want in list(zip(zs, expected))[::7]:
+                for arg in (float(z), np.float64(z), np.array(z)):
+                    got = depth_bins_of(arg, spec)
+                    assert got.shape == () and got == want
+
+    def test_even_and_uneven_grids_match_searchsorted(self):
+        # the rule the slot table replaced, on 200k unsorted z
+        zs = np.random.default_rng(11).uniform(-1.0, 81.0, 200_000)
+        for uneven in (False, True):
+            g = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80, uneven)
+            former = np.searchsorted(g.depth_edges, zs, side="right") - 1
+            former = np.where(zs == 80.0, 79, former)
+            former = np.where((zs < 0.0) | (zs > 80.0), OUT_OF_RANGE, former)
+            np.testing.assert_array_equal(depth_bins_of(zs, g), former)
+
+    def test_single_bin(self, cell_oracle):
+        g = _spec(2.0, 3.0, [])
+        zs = _near([2.0, 3.5, 5.0])
+        np.testing.assert_array_equal(depth_bins_of(zs, g),
+                                      [cell_oracle.depth_bin(z, g) for z in zs])
+
+
 class TestSerialization:
     def test_json_round_trip(self, reference_grid):
         restored = UnevenGridSpec.from_json(reference_grid.to_json())

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bevkit.geom import CameraIntrinsics, PointCloud, project_point
+from bevkit.geom import CameraIntrinsics, PointCloud, Pose, project_point, transform_cloud
 from bevkit.grid import build_grid
 from bevkit.pointpipe import (
     DepthMap,
@@ -33,6 +35,146 @@ def brute_force_visible(pc: PointCloud, K: CameraIntrinsics, tol: float):
         if cell is not None and pc.points[i, 2] <= min_depth[cell] + tol:
             keep.append(i)
     return keep
+
+
+# The 8x8 camera of the ``small_k`` fixture: fx = fy = 8, cx = cy = 4.
+SMALL_K = CameraIntrinsics(fx=8.0, fy=8.0, cx=4.0, cy=4.0, width=8, height=8)
+# Pixel coordinates on and off the 8x8 lattice: half-pixel borders (k + 0.5,
+# -0.5, W - 0.5), centres, and one pixel past either side, whose linear
+# index vi * W + ui would alias a real pixel without the dump pixel.
+LATTICE = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 3.5, 4.0, 6.5, 7.0, 7.5, 8.0, 8.5]
+# Depths that share a pixel within tol (1.0, 1.0625, 1.1) and beyond it.
+DEPTHS = [0.25, 1.0, 1.0625, 1.1, 2.0, 4.0]
+BEHIND = [-1.0, -0.0, 0.0, 1e-9, float(np.nextafter(1e-9, 0)), float(np.nextafter(1e-9, 1)), 2e-9]
+
+
+def _lattice_point(u, v, z, intensity):
+    # unprojected with the pinhole model; dyadic depths project back exactly
+    return [(u - SMALL_K.cx) * z / SMALL_K.fx, (v - SMALL_K.cy) * z / SMALL_K.fy, z, intensity]
+
+
+intensities = st.sampled_from([0.0, -0.0, 0.25, 1.0])
+cloud_rows = st.one_of(
+    st.builds(_lattice_point, st.sampled_from(LATTICE), st.sampled_from(LATTICE),
+              st.sampled_from(DEPTHS), intensities),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from(BEHIND),
+              intensities).map(list),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.0, 10.0),
+              intensities).map(list),
+)
+
+
+def oracle_counts(pc: PointCloud, K: CameraIntrinsics, keep) -> dict:
+    n = len(pc)
+    n_out = sum(not project_point(p[:3], K).in_view for p in pc.points)
+    return {"input": n, "out_of_view": n_out, "occluded": n - n_out - len(keep),
+            "retained": len(keep)}
+
+
+class TestUnifyVisibleOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.lists(cloud_rows, max_size=60), tol=st.sampled_from([0.1, 0.0625, 1.0]))
+    def test_matches_per_point_oracle(self, rows, tol):
+        pc = PointCloud(np.array(rows, dtype=np.float64).reshape(-1, 4))
+        keep = brute_force_visible(pc, SMALL_K, tol)
+        retained, stats = unify_visible(pc, SMALL_K, tol)
+        assert retained.points.tobytes() == pc.points[keep].tobytes()
+        assert stats == oracle_counts(pc, SMALL_K, keep)
+
+    def test_off_image_point_does_not_occlude_an_aliased_pixel(self):
+        # ui = -1 on row 3 has linear index 3 * 8 - 1, pixel (7, 2)'s
+        near_off_image = _lattice_point(-1.0, 3.0, 0.25, 1.0)
+        far_in_view = _lattice_point(7.0, 2.0, 4.0, 1.0)
+        pc = PointCloud([near_off_image, far_in_view])
+        retained, stats = unify_visible(pc, SMALL_K, 0.1)
+        assert retained.points.tobytes() == pc.points[1:].tobytes()
+        assert stats == {"input": 2, "out_of_view": 1, "occluded": 0, "retained": 1}
+
+
+def former_depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> np.ndarray:
+    """The column_stack formulation this module used before."""
+    valid = np.isfinite(dm.depths) & (dm.depths > 0)
+    vv, uu = np.nonzero(valid)
+    z = dm.depths[vv, uu]
+    x = (uu - K.cx) * z / K.fx
+    y = (vv - K.cy) * z / K.fy
+    return np.column_stack([x, y, z, np.ones(z.size)])
+
+
+def former_transform_cloud(pc: PointCloud, pose: Pose) -> np.ndarray:
+    """The column_stack formulation geom used before."""
+    if len(pc) == 0:
+        return pc.points
+    return np.column_stack([pose.apply(pc.xyz), pc.intensity])
+
+
+def _rotation(q) -> np.ndarray:
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _assert_fresh_read_only(out: np.ndarray, source: np.ndarray):
+    assert out.flags.c_contiguous and not out.flags.writeable
+    assert not np.shares_memory(out, source)
+
+
+depth_pixels = st.one_of(st.sampled_from([np.nan, 0.0, -0.0, -1.0, np.inf, -np.inf]),
+                         st.floats(1e-3, 100.0))
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+translations = st.tuples(*[st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0]))] * 3)
+
+
+class TestFormerFormulations:
+    @settings(deadline=None, max_examples=100)
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), data=st.data(),
+           f=st.tuples(st.floats(0.5, 1000.0), st.floats(0.5, 1000.0)))
+    def test_depthmap_to_cloud_bits(self, h, w, data, f):
+        depths = np.array(data.draw(st.lists(depth_pixels, min_size=h * w, max_size=h * w)))
+        cx = data.draw(st.floats(0.0, w, exclude_max=True))
+        cy = data.draw(st.floats(0.0, h, exclude_max=True))
+        K = CameraIntrinsics(f[0], f[1], cx, cy, w, h)
+        dm = DepthMap(depths.reshape(h, w))
+        cloud = depthmap_to_cloud(dm, K)
+        assert cloud.points.tobytes() == former_depthmap_to_cloud(dm, K).tobytes()
+        _assert_fresh_read_only(cloud.points, dm.depths)
+
+    @settings(deadline=None, max_examples=150)
+    @given(q=quaternions, t=translations, identity=st.booleans(),
+           rows=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                                   st.floats(-1e3, 1e3), intensities), max_size=40))
+    def test_transform_cloud_bits(self, q, t, identity, rows):
+        pose = Pose.identity() if identity else Pose(_rotation(q), np.array(t))
+        pc = PointCloud(np.array(rows, dtype=np.float64).reshape(-1, 4))
+        moved = transform_cloud(pc, pose)
+        assert moved.points.tobytes() == former_transform_cloud(pc, pose).tobytes()
+        _assert_fresh_read_only(moved.points, pc.points)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+    def test_transform_cloud_bits_on_random_poses(self, n):
+        # a single row takes numpy's vector-matrix path, which sums in its
+        # own order: a product that adds t inside it differs there
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3) * 10.0)
+            pc = PointCloud(rng.normal(size=(n, 4)) * 10.0)
+            moved = transform_cloud(pc, pose)
+            assert moved.points.tobytes() == former_transform_cloud(pc, pose).tobytes()
+
+    def test_indoor_scale_bits(self, default_k):
+        rng = np.random.default_rng(9)
+        depths = rng.uniform(0.5, 8.0, (480, 640))
+        depths[rng.uniform(size=depths.shape) < 0.05] = np.nan
+        depths[rng.uniform(size=depths.shape) < 0.05] = 0.0
+        dm = DepthMap(depths)
+        cloud = depthmap_to_cloud(dm, default_k)
+        assert cloud.points.tobytes() == former_depthmap_to_cloud(dm, default_k).tobytes()
+        pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3))
+        moved = transform_cloud(cloud, pose)
+        assert moved.points.tobytes() == former_transform_cloud(cloud, pose).tobytes()
 
 
 class TestDepthmapToCloud:
@@ -202,6 +344,49 @@ class TestPillarize:
         pt = pillarize(PointCloud(pts), g)
         assert pt.n_assigned + pt.n_dropped == 500
         assert pt.counts.sum() == pt.n_assigned
+
+
+def sequential_pillars(pc: PointCloud, g, cell_oracle):
+    """Oracle: per cell, Python float sums of its points in input order."""
+    sums, n_dropped = {}, 0
+    for row in pc.points.tolist():
+        cell = cell_oracle.cell(row[0], row[2], g)
+        if cell < 0:
+            n_dropped += 1
+            continue
+        acc = sums.setdefault(cell, [0, 0.0, 0.0, 0.0, 0.0])
+        acc[0] += 1
+        for k in range(4):
+            acc[k + 1] += row[k]
+    return sums, n_dropped
+
+
+class TestPillarizeOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(n_x=st.integers(1, 5), n_z=st.integers(1, 6), uneven=st.booleans(), data=st.data())
+    def test_sums_follow_input_order(self, cell_oracle, n_x, n_z, uneven, data):
+        g = build_grid((-2.0, 2.0), (0.5, 8.0), n_x, n_z, uneven)
+        x_edges = (g.x_range[0] + np.arange(n_x + 1) * g.lateral_width).tolist()
+        # on-grid values, cell edges and off-grid values, interleaved
+        xs = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(x_edges))
+        zs = st.one_of(st.floats(-1.0, 10.0), st.sampled_from(g.depth_edges.tolist()))
+        values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+        rows = data.draw(st.lists(st.tuples(xs, values, zs, values), max_size=80))
+        pc = PointCloud(np.array(rows, dtype=np.float64).reshape(-1, 4))
+        pt = pillarize(pc, g)
+        sums, n_dropped = sequential_pillars(pc, g, cell_oracle)
+        cells = sorted(sums)
+        assert pt.cells.tolist() == [list(divmod(c, n_x)) for c in cells]
+        assert pt.counts.tolist() == [sums[c][0] for c in cells]
+        means = np.array([[s / sums[c][0] for s in sums[c][1:]] for c in cells]).reshape(-1, 4)
+        assert pt.features[:, :4].tobytes() == means.tobytes()
+        i_z, i_x = np.divmod(np.array(cells, dtype=np.int64), n_x)
+        center_x = g.x_range[0] + (i_x + 0.5) * g.lateral_width
+        center_z = 0.5 * (g.depth_edges[i_z] + g.depth_edges[i_z + 1])
+        assert pt.features[:, 4].tobytes() == (means[:, 0] - center_x).tobytes()
+        assert pt.features[:, 5].tobytes() == (means[:, 2] - center_z).tobytes()
+        assert (pt.n_assigned, pt.n_dropped) == (len(pc) - n_dropped, n_dropped)
+        assert pt.n_assigned + pt.n_dropped == len(pc)
 
 
 class TestOccupancyMask:
