@@ -166,6 +166,7 @@ def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
     """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
     maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
     non-finite z (a normal path, not an error).  Accepts scalars."""
+    # one copy of a strided column costs less than strided reads in every pass
     z = np.asarray(z, dtype=np.float64, order="C")
     shape, z = z.shape, z.reshape(-1)
     table = g._slots
