@@ -54,6 +54,7 @@ class Config:
         object.__setattr__(self, "band_names", tuple(self.band_names))
         # delegate the cross-field checks
         self.match_config()
+        self.grid()
 
     def grid(self) -> UnevenGridSpec:
         return build_grid(self.x_range, self.z_range, self.n_x, self.n_z,

@@ -199,11 +199,6 @@ class Projection(NamedTuple):
     in_view: bool
 
 
-def pixel_cell(u, v):
-    """Nearest lattice pixel of continuous coordinates (half-up rounding)."""
-    return np.floor(u + 0.5).astype(np.int64), np.floor(v + 0.5).astype(np.int64)
-
-
 def project_point(p, K: CameraIntrinsics) -> Projection:
     """Project one camera-frame point to (u, v, z) pixel coordinates.
 
@@ -214,10 +209,11 @@ def project_point(p, K: CameraIntrinsics) -> Projection:
     x, y, z = np.asarray(p, dtype=np.float64)
     if z <= _MIN_DEPTH:
         return Projection(np.nan, np.nan, float(z), False)
-    u = K.fx * x / z + K.cx
-    v = K.fy * y / z + K.cy
-    ui, vi = pixel_cell(u, v)
-    in_view = bool(0 <= ui < K.width and 0 <= vi < K.height)
+    with np.errstate(over="ignore"):   # far off axis, u or v is +-inf
+        u = K.fx * x / z + K.cx
+        v = K.fy * y / z + K.cy
+    # the nearest lattice pixel (half-up rounding), compared as a float
+    in_view = bool(0 <= np.floor(u + 0.5) < K.width and 0 <= np.floor(v + 0.5) < K.height)
     return Projection(float(u), float(v), float(z), in_view)
 
 
@@ -236,13 +232,26 @@ def _project(xyz, K: CameraIntrinsics):
     z = xyz[:, 2]
     front = z > _MIN_DEPTH
     safe_z = np.where(front, z, 1.0)
-    u = K.fx * xyz[:, 0] / safe_z + K.cx
-    v = K.fy * xyz[:, 1] / safe_z + K.cy
-    ui, vi = pixel_cell(u, v)
-    in_view = front & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-    vi *= K.width
-    vi += ui
-    pixel = np.where(in_view, vi, K.width * K.height)
+    # far off axis just in front of the camera, u or v is +-inf and the
+    # pixel index below overflows or is nan; such points are out of view
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = K.fx * xyz[:, 0] / safe_z + K.cx
+        v = K.fy * xyz[:, 1] / safe_z + K.cy
+        # the nearest lattice pixel (half-up rounding), kept as floats
+        fu = u + 0.5
+        fv = v + 0.5
+        np.floor(fu, out=fu)
+        np.floor(fv, out=fv)
+        in_view = fu >= 0
+        in_view &= fu < K.width
+        in_view &= fv >= 0
+        in_view &= fv < K.height
+        in_view &= front
+        fv *= K.width
+        fv += fu
+    # only in-view indices are cast, so no non-finite value is
+    pixel = np.full(z.shape, K.width * K.height, dtype=np.int64)
+    np.copyto(pixel, fv, casting="unsafe", where=in_view)
     return u, v, z, pixel, in_view
 
 

@@ -62,6 +62,7 @@ class UnevenGridSpec:
                 raise ValueError(f"{name} must be a (lo, hi) pair")
             object.__setattr__(self, name, pair)
         edges = np.asarray(self.depth_edges, dtype=np.float64)
+        _require_finite(self.x_range, self.z_range, edges)
         if edges.shape != (self.n_z + 1,):
             raise ValueError("depth_edges must have n_z + 1 entries")
         if edges[0] != self.z_range[0] or edges[-1] != self.z_range[1]:
@@ -150,12 +151,18 @@ def _in_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (v >= lo) & (v <= hi) & np.isfinite(v)
 
 
+def _require_finite(*values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError("x_range, z_range and depth_edges must be finite")
+
+
 def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> UnevenGridSpec:
     """Construct the grid; depth edges uneven by default, lateral uniform."""
     if n_x < 1 or n_z < 1:
         raise ValueError("cell counts must be >= 1")
     x_lo, x_hi = (float(v) for v in x_range)
     z_lo, z_hi = (float(v) for v in z_range)
+    _require_finite(x_range, z_range)   # before the edges: inf * 0 is nan
     if not (x_hi > x_lo and z_hi > z_lo):
         raise ValueError("ranges must be non-degenerate")
     edges = depth_edges(z_lo, z_hi, n_z, uneven)

@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -585,6 +586,21 @@ class TestConfig:
         assert cfg.gamma == 0.2
         assert cfg.epsilon == 5e-4
         assert cfg.m_proposals == 100
+
+    @pytest.mark.parametrize("text", ['{"z_range": [0, Infinity]}',
+                                      '{"x_range": [-Infinity, 30]}'])
+    @pytest.mark.parametrize("argv", [["grid"], ["eval", "--gt", "gt.jsonl", "--pred", "p.jsonl"]],
+                             ids=lambda v: v[0])
+    def test_infinite_grid_range_is_a_data_error(self, capsys, tmp_path, text, argv):
+        # refused as the config is read, also by a subcommand that builds no grid
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no inf * 0 on the way
+            code, stdout, err = run(capsys, "--config", str(cfg), *argv, "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: x_range, z_range and depth_edges must be finite"]
+        assert stdout == "" and not out.exists()
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -220,6 +224,46 @@ class TestIou3dFullRotations:
         assert abs(iou3d(a, b) - expected) <= 1e-9
 
 
+GROUND_Y = 1.8  # outdoor boxes rest on y = 1.8 (camera frame, y down)
+
+
+@st.composite
+def grounded_yaw_pairs(draw):
+    """Two yaw-only boxes resting on one ground plane, as outdoors."""
+    def box(center):
+        dims = np.array(draw(extents))
+        center = np.array([center[0], GROUND_Y - 0.5 * dims[1], center[1]])
+        return Box3D(center, dims, yaw_rotation(draw(st.floats(-np.pi, np.pi))))
+
+    x, z = draw(st.floats(-5.0, 5.0)), draw(st.floats(2.0, 60.0))
+    dx, dz = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    return box((x, z)), box((x + dx, z + dz))
+
+
+@st.composite
+def flush_pairs(draw, kinds=("contained", "overlapping", "stacked")):
+    """Two boxes of one rotation, b flush with a on 1-3 axes: on each, b's
+    face lies on a's face plane on the same side (b contained in a when
+    ``contained``), or b is stacked on a's face and only touches it."""
+    rot = draw(rotations)
+    a = Box3D(np.array(draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))), draw(extents), rot)
+    kind = draw(st.sampled_from(kinds))
+    dims_b = np.array(draw(extents))
+    if kind == "contained":
+        dims_b = np.minimum(dims_b, a.dims)
+    room = 0.5 * (a.dims - dims_b)   # b's offset with one face on a's
+    flush = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+    side = np.array(draw(st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3)))
+    spread = room if kind == "contained" else 0.5 * (a.dims + dims_b)
+    local = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) * spread
+    for axis in flush:
+        local[axis] = side[axis] * room[axis]
+    if kind == "stacked":
+        axis = min(flush)
+        local[axis] = side[axis] * 0.5 * (a.dims[axis] + dims_b[axis])
+    return a, Box3D(a.center + rot @ local, dims_b, rot)
+
+
 @st.composite
 def sphere_disjoint_pairs(draw):
     """A rotated pair moved apart until its bounding spheres are disjoint."""
@@ -248,6 +292,75 @@ def coincident_pairs(draw):
 
 mixed_pairs = st.one_of(rotated_pairs(), sphere_disjoint_pairs(), touching_pairs(),
                         coincident_pairs())
+
+
+@st.composite
+def turned_flush_pairs(draw):
+    """A contained or overlapping flush pair with b turned by 1e-10 to 0.1
+    rad about one of its own axes (the faces across it keep sharing their
+    planes) or a random axis, so that faces which shared a plane now cross
+    almost flat."""
+    a, b = draw(flush_pairs(("contained", "overlapping")))
+    angle = 10.0 ** draw(st.floats(-10.0, -1.0))
+    axis = draw(st.one_of(st.sampled_from(list(np.eye(3))), directions))
+    turn = quaternion_rotation(np.r_[np.cos(angle / 2), np.sin(angle / 2) * axis])
+    return a, Box3D(b.center, b.dims, b.rotation @ turn)
+
+
+class TestSharedFacePlanes:
+    """Pairs whose face planes coincide or almost coincide, the cases a
+    face-area volume must count once: yaw-only boxes on one ground plane,
+    boxes stacked flush, identical copies and contained boxes sharing 1-3
+    faces, and such pairs turned slightly."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(grounded_yaw_pairs(), flush_pairs(), coincident_pairs()))
+    def test_matches_halfspace_oracle(self, pair):
+        a, b = pair
+        expected = halfspace_iou3d(a, b)
+        assume(expected is not None)
+        assert abs(iou3d(a, b) - expected) <= 1e-12
+        assert abs(iou3d(b, a) - expected) <= 1e-12
+
+    @settings(deadline=None, max_examples=200)
+    @given(turned_flush_pairs())
+    def test_turned_pairs_match_halfspace_oracle(self, pair):
+        # the oracle reads a thin wedge as empty, so only overlaps it sees;
+        # vertices admitted up to 1e-12 outside a box (qhull's too, before)
+        # move such an IoU by up to about 1e-11
+        a, b = pair
+        expected = halfspace_iou3d(a, b)
+        assume(expected is not None and expected > 0.0)
+        assert abs(iou3d(a, b) - expected) <= 1e-10
+        assert abs(iou3d(b, a) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("angle", [1e-7, 1e-4, 1e-2, 0.05])
+    def test_touching_cubes_turned_slightly_meet_in_a_wedge(self, angle):
+        # b turned about its own z axis pushes one edge into a: a triangular
+        # prism with legs (c + s - 1) / (2c) and (c + s - 1) / (2s), height 1
+        c, s = np.cos(angle), np.sin(angle)
+        a = Box3D([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.eye(3))
+        b = Box3D([1.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.array([[c, -s, 0.0], [s, c, 0.0],
+                                                             [0.0, 0.0, 1.0]]))
+        wedge = (0.5 * (c + s) - 0.5) ** 2 / (2.0 * s * c)
+        assert abs(iou3d(a, b) - wedge / (2.0 - wedge)) <= 1e-15
+
+    def test_contained_box_sharing_three_faces(self):
+        a = Box3D([0.0, 0.0, 5.0], [2.0, 2.0, 2.0], yaw_rotation(0.4))
+        b = Box3D(a.center + a.rotation @ [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], a.rotation)
+        assert iou3d(a, b) == pytest.approx(0.125, abs=1e-15)
+        assert iou3d(a, a) == 1.0
+
+
+def test_import_leaves_qhull_out():
+    # qhull is only the tests' oracle; importing bevkit must not load it
+    code = "import sys, bevkit; print('scipy.spatial' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPairIous:

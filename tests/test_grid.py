@@ -292,6 +292,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=key):
             UnevenGridSpec.from_json(json.dumps(d))
 
+    @pytest.mark.parametrize("key, value", [
+        ("z_range", [0, float("inf")]), ("x_range", [float("-inf"), 30]),
+        ("x_range", [-30, float("nan")]), ("depth_edges", "inner inf"),
+    ])
+    def test_non_finite_ranges_and_edges_rejected(self, key, value):
+        # JSON's Infinity parses to inf: a last cell centred at z = inf
+        d = {"x_range": [-30.0, 30.0], "z_range": [0.0, 80.0], "n_x": 4, "n_z": 3,
+             "depth_edges": [0.0, 5.0, 20.0, 80.0]}
+        if value == "inner inf":
+            d["z_range"], d["depth_edges"] = [0.0, float("inf")], [0.0, 5.0, 20.0, float("inf")]
+        else:
+            d[key] = value
+        message = "x_range, z_range and depth_edges must be finite"
+        with pytest.raises(ValueError, match=message):
+            UnevenGridSpec.from_json(json.dumps(d))
+        with pytest.raises(ValueError, match=message):
+            UnevenGridSpec(d["x_range"], d["z_range"], d["n_x"], d["n_z"], d["depth_edges"])
+        if key != "depth_edges":
+            with pytest.raises(ValueError, match=message):
+                build_grid(d["x_range"], d["z_range"], d["n_x"], d["n_z"])
+
 
 def test_depth_bin_centers_are_interval_midpoints():
     centers = depth_bin_centers(0.0, 80.0, 80, uneven=True)

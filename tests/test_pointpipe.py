@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,17 @@ class TestDepthmapToCloud:
     def test_size_mismatch_raises(self, default_k):
         with pytest.raises(ValueError):
             depthmap_to_cloud(DepthMap(np.ones((4, 4))), default_k)
+
+    def test_far_off_axis_point_in_front_of_the_camera_casts_nothing(self, default_k):
+        # x / z overflows to inf: out of view, with no overflow or cast warning
+        pc = PointCloud([[1e300, 0.0, 1e-8, 1.0], [0.0, 0.0, 5.0, 1.0]])
+        keep = brute_force_visible(pc, default_k, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            retained, stats = unify_visible(pc, default_k, 0.1)
+        assert keep == [1]
+        assert retained.points.tobytes() == pc.points[1:].tobytes()
+        assert stats == {"input": 2, "out_of_view": 1, "occluded": 0, "retained": 1}
 
 
 class TestVisibilityFilter:
