@@ -2,21 +2,22 @@
 
 IoU is exact for full 3x3 rotations, and one code path computes it for
 any number of box pairs at once: ``match_and_ap`` runs it once per
-category over every same-image (prediction, ground truth) pair, and
-``iou3d`` is its one-pair call.  Two boxes whose bounding spheres are
-disjoint cannot meet, so one array pass scores such pairs 0 before any
-geometry runs.  For the pairs that remain, the intersection is a convex
-polytope whose vertices are enumerated for all pairs together: the
-corners of each box that lie inside the other, and the points where the
-12 edges of each box cross the 6 face planes of the other and lie inside
-it.  The volume follows in the same batched pass from the divergence
-theorem: a third of the sum, over the 12 face planes of the two boxes, of
-each plane's distance from one box's centre times the area of the
-polytope's face on it, the polygon of the vertices on that plane (two
-almost parallel faces, one of each box, count as one polygon and a
-correction).  Matching is greedy in descending score, in one pass for every
-IoU threshold, with all-point (precision envelope) PR integration,
-reported per category, IoU threshold, and depth band.
+evaluation, over every same-image, same-category (prediction, ground
+truth) pair of every category, and ``iou3d`` is its one-pair call.  Two
+boxes whose bounding spheres are disjoint cannot meet, so one array pass
+scores such pairs 0 before any geometry runs.  For the pairs that remain,
+the intersection is a convex polytope whose vertices are enumerated for
+all pairs together: the corners of each box that lie inside the other,
+and the points where the 12 edges of each box cross the 6 face planes of
+the other and lie inside it.  The volume follows in the same batched
+pass from the divergence theorem: a third of the sum, over the 12 face
+planes of the two boxes, of each plane's distance from one box's centre
+times the area of the polytope's face on it, the polygon of the vertices
+on that plane (two almost parallel faces, one of each box, count as one
+polygon and a correction).  Matching is greedy in descending score, in
+one pass for every IoU threshold and category, with all-point (precision
+envelope) PR integration, reported per category, IoU threshold, and
+depth band; each AP sums its own series alone.
 """
 
 from __future__ import annotations
@@ -74,26 +75,30 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _vertex_candidates(corners, center, rotation, dims):
     """Candidate vertices that one box of each pair, given by its
     (P, 8, 3) ``corners``, adds to its intersection with the other box:
-    which corners lie inside the other box, and the (P, 72, 3) crossings
-    of its edges with the other box's face planes in (edge, plane) order,
-    with which of them lie on the edge and inside the other box."""
+    which corners lie inside the other box, and the crossings of its edges
+    with the other box's face planes that lie on the edge and inside the
+    other box, (K, 3) in (pair, edge, plane) order, with the pair of each.
+    Only kept crossings are interpolated, so the temporaries stay small."""
     half = 0.5 * dims[:, None, :]
     limit = half + _PLANE_EPS
     local = (corners - center[:, None, :]) @ rotation
     corner_in = np.all(np.abs(local) <= limit, axis=-1)
     p, q = local[:, _EDGES[:, 0]], local[:, _EDGES[:, 1]]
-    planes = np.concatenate([-half, half], axis=-1)
     step = q - p
-    # (edge, plane) parameter; an edge (almost) parallel to a plane gives
-    # nan or +-inf
-    t = (planes - p[:, :, _PLANE_AXIS]) / step[:, :, _PLANE_AXIS]
-    cross_in = (t >= 0.0) & (t <= 1.0)
-    t = t[..., None]
-    point = p[:, :, None, :] + t * step[:, :, None, :]
-    cross_in &= np.all(np.abs(point) <= limit[:, None], axis=-1)
-    start, stop = corners[:, _EDGES[:, 0]], corners[:, _EDGES[:, 1]]
-    cross = start[:, :, None, :] + t * (stop - start)[:, :, None, :]
-    return corner_in, cross.reshape(len(corners), -1, 3), cross_in.reshape(len(corners), -1)
+    # (edge, plane) parameter, planes in _PLANE_AXIS order; an edge (almost)
+    # parallel to a plane gives nan or +-inf
+    t = np.concatenate([(-half - p) / step, (half - p) / step], axis=-1)
+    keep = (t >= 0.0) & (t <= 1.0)
+    # the crossing inside the other box, one local axis at a time
+    point = np.empty_like(t)
+    for k in range(3):
+        np.multiply(t, step[:, :, None, k], out=point)
+        point += p[:, :, None, k]
+        keep &= np.abs(point, out=point) <= limit[:, :, None, k]
+    pair, edge, plane = np.nonzero(keep)
+    t = t[pair, edge, plane][:, None]
+    start, stop = corners[pair, _EDGES[edge, 0]], corners[pair, _EDGES[edge, 1]]
+    return corner_in, start + t * (stop - start), pair
 
 
 def _in_frame(offset, rotation) -> np.ndarray:
@@ -127,15 +132,18 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     normals nearly agree, A u B is one polygon, star-shaped about its
     centroid.
 
-    Every sum over vertices is a ``bincount`` in vertex order, so a pair's
-    bits do not depend on the other pairs."""
+    Every sum over vertices is a ``bincount`` in vertex order and both
+    sorts are stable, so a pair's bits depend only on the order of its own
+    vertices, not on the other pairs or on how theirs interleave."""
     (ca, da, ra), (cb, db, rb) = a, b
     n_faces = 12 * len(ca)
     half = 0.5 * np.concatenate([da, db], axis=1)
     # each vertex in a's frame, then in b's: (V, 6)
-    local = _in_frame(vertices[:, None, :] - np.stack([ca, cb], axis=1)[pair],
-                      np.stack([ra, rb], axis=1)[pair]).reshape(-1, 6)
-    on = np.abs(local[:, _FACE_AXIS] - (_FACE_SIGN * half[:, _FACE_AXIS])[pair]) <= _PLANE_EPS
+    local = np.concatenate([_in_frame(vertices - c[pair], r[pair])
+                            for c, r in ((ca, ra), (cb, rb))], axis=1)
+    on = local[:, _FACE_AXIS]
+    on -= (_FACE_SIGN * half[:, _FACE_AXIS])[pair]
+    on = np.abs(on, out=on) <= _PLANE_EPS
     # each face plane's signed distance from a's centre, which lies half a
     # dimension inside each face of a
     heights = half[:, _FACE_AXIS]
@@ -148,10 +156,11 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     on[:, :6] |= np.any(partner[pair] & on[:, None, 6:], axis=2)
     v, face = np.nonzero(on)
     group = pair[v] * 12 + face
-    uv = local[v[:, None], _FACE_SPAN[face]]
+    d = local[v[:, None], _FACE_SPAN[face]]
+    del v, face   # the largest temporaries are per (vertex, face)
     count = np.maximum(np.bincount(group, minlength=n_faces), 1)
-    center = np.stack([np.bincount(group, uv[:, k], n_faces) for k in (0, 1)], axis=1)
-    d = uv - (center / count[:, None])[group]
+    center = np.stack([np.bincount(group, d[:, k], n_faces) for k in (0, 1)], axis=1)
+    d -= (center / count[:, None])[group]
     order = np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
     order = order[np.argsort(group[order], kind="stable")]
     d, group = d[order], group[order]
@@ -178,13 +187,13 @@ def _pair_ious(a, b) -> np.ndarray:
     ca, da, ra, cb, db, rb = (x[near] for x in (ca, da, ra, cb, db, rb))
     corners_a, corners_b = corners_of(ca, da, ra), corners_of(cb, db, rb)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a_in_b, cross_a, cross_a_in = _vertex_candidates(corners_a, cb, rb, db)
-        b_in_a, cross_b, cross_b_in = _vertex_candidates(corners_b, ca, ra, da)
-    # per pair: a's corners in b, b's corners in a, a's crossings, b's crossings
-    candidates = np.concatenate([corners_a, corners_b, cross_a, cross_b], axis=1)
-    keep = np.concatenate([a_in_b, b_in_a, cross_a_in, cross_b_in], axis=1)
-    inter = _intersection_volumes(candidates[keep], np.nonzero(keep)[0],
-                                  (ca, da, ra), (cb, db, rb))
+        a_in_b, cross_a, pair_a = _vertex_candidates(corners_a, cb, rb, db)
+        b_in_a, cross_b, pair_b = _vertex_candidates(corners_b, ca, ra, da)
+    # within each pair: a's corners in b, b's corners in a, a's crossings,
+    # b's crossings; the volume reads only the order within a pair
+    vertices = np.concatenate([corners_a[a_in_b], corners_b[b_in_a], cross_a, cross_b])
+    pair = np.concatenate([np.nonzero(a_in_b)[0], np.nonzero(b_in_a)[0], pair_a, pair_b])
+    inter = _intersection_volumes(vertices, pair, (ca, da, ra), (cb, db, rb))
     va, vb = vol_a[near], vol_b[near]
     # a flat intersection may sum to a rounding error below zero; the
     # floor also turns -0.0 into +0.0
@@ -251,6 +260,19 @@ def band_of(z: float, bands: Sequence[Tuple[float, float]]) -> int:
     return -1
 
 
+def _bands_of(z: np.ndarray, bands: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """``band_of`` of every entry of ``z``, for sorted, non-overlapping
+    bands (as ``MatchConfig`` checks them)."""
+    if not bands:
+        return np.full(z.shape, -1, dtype=np.int64)
+    lo, hi = np.array(bands, dtype=np.float64).T
+    # the last band starting at or below z; it holds z if z lies below its
+    # end, or on the end of the last band
+    i = np.searchsorted(lo, z, side="right") - 1
+    inside = ((i >= 0) & (z < hi[i])) | (z == hi[-1])
+    return np.where(inside, i, -1)
+
+
 def _normalize(records) -> List[Tuple[int, Box3D]]:
     out = []
     for rec in records:
@@ -262,42 +284,75 @@ def _normalize(records) -> List[Tuple[int, Box3D]]:
     return out
 
 
-def _ap_from_flags(tp_flags: np.ndarray, n_gt: int) -> Optional[float]:
-    """All-point-interpolated AP from score-ordered TP flags."""
+def _aps(tp: np.ndarray, member: np.ndarray, n_gt: int) -> List[Optional[float]]:
+    """All-point-interpolated AP of each row's series: the score-ordered
+    (threshold, prediction) TP flags ``tp`` of the predictions ``member``
+    marks, against ``n_gt`` ground truths.  Each row sums its own
+    envelope, so its bits are those of its series taken alone."""
     if n_gt == 0:
-        return None if tp_flags.size == 0 else 0.0
-    precision = np.cumsum(tp_flags) / np.arange(1.0, tp_flags.size + 1)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        return [0.0 if any_ else None for any_ in member.any(axis=1).tolist()]
+    hits = tp & member
+    # TPs over predictions of the series up to each rank, an exact ratio;
+    # a rank outside the series repeats the precision of the series' last
+    # rank before it (or reads 0), so the envelope at each rank of the
+    # series is that of the series alone
+    precision = hits.cumsum(axis=1) / np.maximum(member.cumsum(axis=1), 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1][hits]
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
     # recall rises by 1 / n_gt at each TP: sum first, divide once
-    return float(np.sum(envelope[tp_flags]) / n_gt)
+    return [float(envelope[lo:hi].sum() / n_gt) for lo, hi in zip([0] + ends, ends)]
 
 
-class _Category:
-    """One category, built once: its predictions in descending score
-    (ties in input order), every same-image (prediction, ground truth)
-    pair with its IoU, and the depth band of every box."""
+class _Evaluation:
+    """Every box of an evaluation, built once: the predictions grouped by
+    category, each category's in descending score (ties in input order),
+    the ground truths grouped by category in input order, every
+    same-image, same-category (prediction, ground truth) pair with its IoU
+    from one ``_pair_ious`` call, the depth band of every box, and where
+    each category's predictions and ground truths start."""
 
     def __init__(self, preds, gts, bands):
         # preds, gts: (image, box) pairs in input order
-        order = np.argsort([-box.score for _, box in preds], kind="stable")
-        preds = [preds[i] for i in order]
-        pred_img = np.array([img for img, _ in preds], dtype=np.int64)
-        gt_img = np.array([img for img, _ in gts], dtype=np.int64)
-        # prediction-major, each prediction's ground truths in input order
-        self.pair_pred, self.pair_gt = np.nonzero(pred_img[:, None] == gt_img[None, :])
-        p, g = _stack([box for _, box in preds]), _stack([box for _, box in gts])
+        self.categories = sorted({b.category for _, b in gts} | {b.category for _, b in preds})
+        code = {c: k for k, c in enumerate(self.categories)}
+        pred_cat = np.array([code[b.category] for _, b in preds], dtype=np.int64)
+        gt_cat = np.array([code[b.category] for _, b in gts], dtype=np.int64)
+        order = np.argsort(np.array([-b.score for _, b in preds]), kind="stable")
+        order = order[np.argsort(pred_cat[order], kind="stable")]
+        gt_order = np.argsort(gt_cat, kind="stable")
+        pred_cat, gt_cat = pred_cat[order], gt_cat[gt_order]
+        p = _stack([preds[i][1] for i in order])
+        g = _stack([gts[i][1] for i in gt_order])
+        # one key per (category, image); each prediction's ground truths
+        # are a run of the key-sorted ground truths, in input order
+        images, image_code = np.unique([img for img, _ in preds] + [img for img, _ in gts],
+                                       return_inverse=True)
+        pred_key = pred_cat * images.size + image_code[:len(preds)][order]
+        gt_key = gt_cat * images.size + image_code[len(preds):][gt_order]
+        by_key = np.argsort(gt_key, kind="stable")
+        lo = np.searchsorted(gt_key[by_key], pred_key, side="left")
+        count = np.searchsorted(gt_key[by_key], pred_key, side="right") - lo
+        # prediction-major, each prediction's ground truths in input order:
+        # pair n, the k-th of a prediction whose run starts at lo, takes
+        # by_key[lo + k], and k is n less the pairs of earlier predictions
+        self.pair_pred = np.repeat(np.arange(len(preds)), count)
+        shift = np.repeat(lo - (np.cumsum(count) - count), count)
+        self.pair_gt = by_key[shift + np.arange(self.pair_pred.size)]
         self.ious = _pair_ious(tuple(x[self.pair_pred] for x in p),
                                tuple(x[self.pair_gt] for x in g))
-        self.gt_band = np.array([band_of(float(b.center[2]), bands) for _, b in gts],
-                                dtype=np.int64)
-        self.pred_band = np.array([band_of(float(b.center[2]), bands) for _, b in preds],
-                                  dtype=np.int64)
+        self.pred_band = _bands_of(p[0][:, 2], bands)
+        self.gt_band = _bands_of(g[0][:, 2], bands)
+        cats = np.arange(len(self.categories) + 1)
+        self.pred_start = np.searchsorted(pred_cat, cats)
+        self.gt_start = np.searchsorted(gt_cat, cats)
 
     def match(self, thresholds: Sequence[float]) -> np.ndarray:
         """Greedy matching in score order at every IoU threshold in one
         pass: (threshold, prediction) -> the index of the ground truth the
         prediction takes, or -1 for none.  Each prediction takes the first
-        free candidate with the highest IoU at or above the threshold."""
+        free candidate with the highest IoU at or above the threshold.  No
+        pair crosses categories, so one pass over all of them matches each
+        category as a pass of its own would."""
         thr = np.asarray(thresholds, dtype=np.float64)[:, None]
         taken = np.zeros((thr.size, self.gt_band.size), dtype=bool)
         matched = np.full((thr.size, self.pred_band.size), -1, dtype=np.int64)
@@ -305,9 +360,17 @@ class _Category:
         # a pair below every threshold can never be taken
         viable = self.ious >= thr.min()
         pred, gt, ious = self.pair_pred[viable], self.pair_gt[viable], self.ious[viable]
+        # a viable pair that shares neither its prediction nor its ground
+        # truth with another is matched whenever its IoU clears the
+        # threshold, whatever the order; the rest go through the greedy loop
+        alone = ((np.bincount(pred, minlength=matched.shape[1])[pred] == 1)
+                 & (np.bincount(gt, minlength=taken.shape[1])[gt] == 1))
+        matched[:, pred[alone]] = np.where(ious[alone] >= thr, gt[alone], -1)
+        pred, gt, ious = pred[~alone], gt[~alone], ious[~alone]
         starts = np.flatnonzero(np.diff(pred, prepend=-1))
-        for i, cand, iou in zip(pred[starts], np.split(gt, starts[1:]),
-                                np.split(ious, starts[1:])):
+        ends = np.append(starts[1:], pred.size)
+        for i, lo, hi in zip(pred[starts].tolist(), starts.tolist(), ends.tolist()):
+            cand, iou = gt[lo:hi], ious[lo:hi]
             free = (iou >= thr) & ~taken[:, cand]
             best = np.where(free, iou, -np.inf).argmax(axis=1)
             hit = free[rows, best]
@@ -336,38 +399,37 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     if any(box.score is None for _, box in preds_n):
         raise ValueError("all predictions must carry a score")
 
-    categories = sorted({b.category for _, b in gts_n} | {b.category for _, b in preds_n})
-    by_cat = {
-        cat: _Category([r for r in preds_n if r[1].category == cat],
-                       [r for r in gts_n if r[1].category == cat], cfg.depth_bands)
-        for cat in categories
-    }
-
+    ev = _Evaluation(preds_n, gts_n, cfg.depth_bands)
+    categories = ev.categories
     report_thresholds = sorted(set(cfg.iou_thresholds) | {0.25, 0.50})
+    matched = ev.match(report_thresholds)
+    tp = matched >= 0
+    # a match counts in its ground truth's band, a miss in its own
+    band = np.where(tp, np.append(ev.gt_band, -1)[matched], ev.pred_band)
+    # per category: the AP at every threshold, in all and per depth band
+    cat_aps, cat_band_aps = [], []
+    for k in range(len(categories)):
+        p = slice(ev.pred_start[k], ev.pred_start[k + 1])
+        gt_band = ev.gt_band[ev.gt_start[k]:ev.gt_start[k + 1]]
+        n_gt_band = np.bincount(gt_band + 1, minlength=len(cfg.band_names) + 1)[1:].tolist()
+        cat_aps.append(_aps(tp[:, p], np.ones_like(tp[:, p]), gt_band.size))
+        cat_band_aps.append([_aps(tp[:, p], band[:, p] == b, n)
+                             for b, n in enumerate(n_gt_band)])
+
     per_cat: Dict[str, Dict[str, Optional[float]]] = {str(c): {} for c in categories}
     band_aps: Dict[str, List[float]] = {name: [] for name in cfg.band_names}
     mean_at: Dict[float, Optional[float]] = {}
-
-    matched_at = {cat: c.match(report_thresholds) for cat, c in by_cat.items()}
     for row, thr in enumerate(report_thresholds):
-        cat_aps = []
-        for cat in categories:
-            c = by_cat[cat]
-            matched = matched_at[cat][row]
-            tp = matched >= 0
-            ap = _ap_from_flags(tp, c.gt_band.size)
+        aps = [by_threshold[row] for by_threshold in cat_aps]
+        for cat, ap in zip(categories, aps):
             per_cat[str(cat)][f"{thr:.2f}"] = ap
-            if ap is not None:
-                cat_aps.append(ap)
-            if thr in cfg.iou_thresholds:
-                # a match counts in its ground truth's band, a miss in its own
-                band = c.pred_band.copy()
-                band[tp] = c.gt_band[matched[tp]]
-                for b, name in enumerate(cfg.band_names):
-                    band_ap = _ap_from_flags(tp[band == b], int(np.sum(c.gt_band == b)))
-                    if band_ap is not None:
-                        band_aps[name].append(band_ap)
-        mean_at[thr] = float(np.mean(cat_aps)) if cat_aps else None
+        if thr in cfg.iou_thresholds:
+            for by_band in cat_band_aps:
+                for name, band_ap in zip(cfg.band_names, by_band):
+                    if band_ap[row] is not None:
+                        band_aps[name].append(band_ap[row])
+        aps = [ap for ap in aps if ap is not None]
+        mean_at[thr] = float(np.mean(aps)) if aps else None
 
     headline_vals = [mean_at[t] for t in cfg.iou_thresholds if mean_at[t] is not None]
     result = {
@@ -384,4 +446,3 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
         "n_pred": len(preds_n),
     }
     return result
-

@@ -97,13 +97,12 @@ def sparse_prune(f_d: DepthDistribution, tau: float) -> SparseProjection:
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    # transpose to (H, W, C_d) so entries enumerate pixel-major, bin ascending
-    keep = (f_d.probs >= tau).transpose(1, 2, 0)
-    hh, ww, dd = np.nonzero(keep)
-    pixels = (hh * f_d.probs.shape[2] + ww).astype(np.int64)
-    bins = dd.astype(np.int64)
-    weights = f_d.probs[dd, hh, ww]
-    return SparseProjection(pixels, bins, weights, f_d.probs.shape, float(tau))
+    c_d, h, w = f_d.probs.shape
+    probs = f_d.probs.reshape(c_d, h * w)
+    # flat indices into the (pixel, bin) transpose enumerate pixel-major,
+    # bin ascending
+    pixels, bins = np.divmod(np.flatnonzero((probs >= tau).T), c_d)
+    return SparseProjection(pixels, bins, probs[bins, pixels], f_d.probs.shape, float(tau))
 
 
 @dataclass(frozen=True)

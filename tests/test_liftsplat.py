@@ -165,6 +165,41 @@ class TestSparsePrune:
             previous = kept
 
 
+def former_sparse_prune(f_d: DepthDistribution, tau: float):
+    """The former formulation: ``nonzero`` over the (H, W, C_d) transpose
+    of the mask, then a three-index gather."""
+    hh, ww, dd = np.nonzero((f_d.probs >= tau).transpose(1, 2, 0))
+    pixels = (hh * f_d.probs.shape[2] + ww).astype(np.int64)
+    return pixels, dd.astype(np.int64), f_d.probs[dd, hh, ww]
+
+
+@st.composite
+def depth_cases(draw):
+    """Depth distributions of 1-5 bins over 1x1 to 4x4 pixels, built from a
+    few weights so that ties are common, and a tau of 0, above every
+    probability, equal to one of them, or anywhere in [0, 1]."""
+    c_d, h, w = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5]),
+                                 min_size=c_d * h * w, max_size=c_d * h * w)))
+    raw = raw.reshape(c_d, h, w)
+    raw[0] += raw.sum(axis=0) == 0.0   # every pixel needs some mass
+    probs = raw / raw.sum(axis=0, keepdims=True)
+    tau = draw(st.one_of(st.just(0.0), st.just(float(np.nextafter(probs.max(), 2.0))),
+                         st.sampled_from(probs.ravel().tolist()), st.floats(0.0, 1.0)))
+    return DepthDistribution(probs), tau
+
+
+class TestSparsePruneFormer:
+    @given(depth_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_three_index_form_byte_for_byte(self, case):
+        f_d, tau = case
+        sp = sparse_prune(f_d, tau)
+        for got, expected in zip((sp.pixels, sp.bins, sp.weights), former_sparse_prune(f_d, tau)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestSplat:
     def test_single_pixel_one_hot_lands_in_one_cell(self):
         K, g = tiny_setup()
