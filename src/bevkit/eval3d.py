@@ -330,8 +330,9 @@ class _Evaluation:
         pred_key = pred_cat * images.size + image_code[:len(preds)][order]
         gt_key = gt_cat * images.size + image_code[len(preds):][gt_order]
         by_key = np.argsort(gt_key, kind="stable")
-        lo = np.searchsorted(gt_key[by_key], pred_key, side="left")
-        count = np.searchsorted(gt_key[by_key], pred_key, side="right") - lo
+        sorted_key = gt_key[by_key]
+        lo = np.searchsorted(sorted_key, pred_key, side="left")
+        count = np.searchsorted(sorted_key, pred_key, side="right") - lo
         # prediction-major, each prediction's ground truths in input order:
         # pair n, the k-th of a prediction whose run starts at lo, takes
         # by_key[lo + k], and k is n less the pairs of earlier predictions
