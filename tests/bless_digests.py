@@ -12,7 +12,10 @@ in tier-1 and fails on any difference.  The digests cover:
   of ``frame_outdoor``, ``frame_indoor`` and ``eval_mixed`` at seeds 1-3;
 - the sha256 of the float64 bytes of ``iou3d`` over every
   ``eval_mixed`` pair (``workloads.eval_pairs``, in pair order) at seeds
-  1-3, since the metrics see an IoU only where it crosses a threshold.
+  1-3, since the metrics see an IoU only where it crosses a threshold;
+- the sha256 of ``synth.generate``'s cloud, depth probabilities, boxes and
+  intrinsics for seeds 1-3 in both regimes, and for one spec that sets the
+  depth bins (count, range and uneven spacing).
 
 Re-blessing declares an output change: CHANGES.md must name the outputs
 that moved and the largest difference measured.
@@ -79,8 +82,37 @@ def iou_digests() -> dict:
     return out
 
 
+def synth_digests() -> dict:
+    """sha256 of every array of a synthetic scene, per spec."""
+    import numpy as np
+
+    from bevkit.synth import SceneSpec, generate
+
+    specs = {f"{regime}/seed{seed}": SceneSpec(seed=seed, regime=regime)
+             for regime in ("indoor", "outdoor") for seed in SEEDS}
+    specs["outdoor/bins"] = SceneSpec(seed=1, regime="outdoor", n_depth_bins=20,
+                                      bev_z_range=(0.0, 40.0), uneven_depth_bins=True)
+    out = {}
+    for name, spec in specs.items():
+        bundle = generate(spec)
+        K = bundle.intrinsics
+        arrays = {
+            "cloud": bundle.cloud.points,
+            "depth": bundle.depth_dist.probs,
+            "boxes": np.array([np.concatenate([b.center, b.dims, b.rotation.ravel(),
+                                               [b.category]]) for b in bundle.boxes]),
+            "intrinsics": np.array([K.fx, K.fy, K.cx, K.cy, K.width, K.height,
+                                    *bundle.feature_shape], dtype=np.float64),
+        }
+        for key, arr in arrays.items():
+            data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+            out[f"synth/{name}/{key}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
 def compute_digests(root: Path) -> dict:
-    return dict(sorted({**cli_digests(root), **workload_digests(), **iou_digests()}.items()))
+    return dict(sorted({**cli_digests(root), **workload_digests(), **iou_digests(),
+                        **synth_digests()}.items()))
 
 
 def moves(old: dict, new: dict) -> list:
