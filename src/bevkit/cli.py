@@ -163,15 +163,7 @@ def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def _cmd_losses(args, cfg: Config) -> int:
-    if args.kind == "daln":
-        return _losses_daln(args)
-    if args.kind == "calign":
-        return _losses_calign(args, cfg)
-    return _losses_mic(args)
-
-
-def _losses_daln(args) -> int:
+def _losses_daln(args, cfg: Config) -> int:
     if args.check_init:
         rng = CounterRng(args.seed)
         worst = 0.0
@@ -225,7 +217,7 @@ def _losses_calign(args, cfg: Config) -> int:
     return 0
 
 
-def _losses_mic(args) -> int:
+def _losses_mic(args, cfg: Config) -> int:
     mask_p = _read_mask(args.mask_p)
     if args.kind == "mic-p2i":
         target = bio.read_tnsr(args.point).data
@@ -318,20 +310,31 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_unify)
 
     p = sub.add_parser("losses", help="evaluate head losses from TNSR/JSON inputs")
-    p.add_argument("kind", choices=("daln", "calign", "mic-p2i", "mic-i2p"))
-    p.add_argument("--input", help="JSON input (daln, calign)")
-    p.add_argument("--point", help="point-branch BEV TNSR (mic)")
-    p.add_argument("--image", help="image-branch BEV TNSR (mic)")
-    p.add_argument("--mask-p", help="point-occupancy mask TNSR (mic)")
-    p.add_argument("--mask-i", help="image-confidence mask TNSR (mic-i2p)")
-    p.add_argument("--grad-out", help="write the analytic gradient TNSR here")
-    p.add_argument("--grad-check", action="store_true",
-                   help="compare against central finite differences")
-    p.add_argument("--check-init", action="store_true",
-                   help="daln: report max deviation from plain layer norm at init")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_losses)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("daln", help="depth-aware layer norm of a JSON input")
+    source = k.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="JSON input: alphas, betas, x, confidence")
+    source.add_argument("--check-init", action="store_true",
+                        help="report max deviation from plain layer norm at init")
+    k.add_argument("--seed", type=int, default=0, help="seed of --check-init's draws")
+    k.add_argument("--out", help="write the --input output JSON here")
+    k.set_defaults(fn=_losses_daln)
+    k = kinds.add_parser("calign", help="class-alignment loss of a JSON input")
+    k.add_argument("--input", required=True, help="JSON input: spaces, background, losses, "
+                   "predicted, labels, dataset")
+    k.add_argument("--out", help="write the scaled losses and their total JSON here")
+    k.set_defaults(fn=_losses_calign)
+    for kind in ("mic-p2i", "mic-i2p"):
+        k = kinds.add_parser(kind, help=f"{kind} guidance loss of BEV TNSRs")
+        k.add_argument("--point", required=True, help="point-branch BEV TNSR")
+        k.add_argument("--image", required=True, help="image-branch BEV TNSR")
+        k.add_argument("--mask-p", required=True, help="point-occupancy mask TNSR")
+        if kind == "mic-i2p":
+            k.add_argument("--mask-i", required=True, help="image-confidence mask TNSR")
+        k.add_argument("--grad-out", help="write the analytic gradient TNSR here")
+        k.add_argument("--grad-check", action="store_true",
+                       help="compare against central finite differences")
+        k.set_defaults(fn=_losses_mic)
 
     p = sub.add_parser("eval", help="3D IoU average-precision evaluation; thresholds "
                        "and depth bands come from --config")
@@ -350,25 +353,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _validate_losses_args(parser: _Parser, args) -> None:
-    if args.kind in ("daln", "calign"):
-        if not args.input and not (args.kind == "daln" and args.check_init):
-            parser.error(f"losses {args.kind} requires --input")
-    else:
-        missing = [f for f in ("point", "image", "mask_p") if not getattr(args, f)]
-        if args.kind == "mic-i2p" and not args.mask_i:
-            missing.append("mask_i")
-        if missing:
-            parser.error(
-                f"losses {args.kind} requires --" + ", --".join(m.replace('_', '-') for m in missing)
-            )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "losses":
-        _validate_losses_args(parser, args)
     cfg = Config()
     try:
         if args.config:

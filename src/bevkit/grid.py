@@ -24,7 +24,7 @@ OUT_OF_RANGE = -1
 _MAX_SLOTS = 1 << 16
 
 
-def depth_edges(z_min: float, z_max: float, n_bins: int, uneven: bool = True) -> np.ndarray:
+def depth_edges(z_min: float, z_max: float, n_bins: int, uneven: bool) -> np.ndarray:
     """n_bins + 1 monotone edges tiling [z_min, z_max]."""
     i = np.arange(n_bins + 1, dtype=np.float64)
     if uneven:
@@ -34,7 +34,7 @@ def depth_edges(z_min: float, z_max: float, n_bins: int, uneven: bool = True) ->
     return z_min + (z_max - z_min) * frac
 
 
-def depth_bin_centers(z_min: float, z_max: float, n_bins: int, uneven: bool = False) -> np.ndarray:
+def depth_bin_centers(z_min: float, z_max: float, n_bins: int, uneven: bool) -> np.ndarray:
     """Midpoints of the n_bins depth intervals (used as ray-splat targets)."""
     edges = depth_edges(z_min, z_max, n_bins, uneven)
     return 0.5 * (edges[:-1] + edges[1:])

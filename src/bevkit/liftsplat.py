@@ -194,8 +194,8 @@ def synth_projection_inputs(seed: int, c_i: int, c_d: int, h_f: int, w_f: int):
     return FeatureMap(feats), DepthDistribution(expd / expd.sum(axis=0, keepdims=True))
 
 
-def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int = 0,
-                     c_i: int = 32, c_d: int = 64, h_f: int = 32, w_f: int = 32):
+def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int,
+                     c_i: int, c_d: int, h_f: int, w_f: int):
     """Prune once per threshold; report the kept ratio and a checksum.
 
     The checksum column hashes the dense (tau = 0) output, so it is

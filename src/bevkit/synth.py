@@ -11,7 +11,7 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,13 +23,14 @@ from .rng import CounterRng
 
 REGIME_DEPTH = {"indoor": (0.5, 8.0), "outdoor": (5.0, 80.0)}
 
-_DEFAULT_K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-
-
-@dataclass(frozen=True)
-class NoiseLevels:
-    point_sigma: float = 0.01   # m, jitter on sampled surface points
-    depth_sigma: float = 1.0    # m, softness of the depth distribution
+# The camera, the sampling and the noise of every scene
+_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+_FEATURE_DOWNSAMPLE = 16   # image pixels per depth-distribution pixel, each way
+_N_CATEGORIES = 4
+_POINTS_PER_BOX = 256
+_GROUND_POINTS = 512
+_POINT_SIGMA = 0.01        # m, jitter on sampled surface points
+_DEPTH_SIGMA = 1.0         # m, softness of the depth distribution
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,7 @@ class SceneSpec:
     seed: int
     regime: str = "indoor"
     n_objects: int = 6
-    depth_range: Optional[Tuple[float, float]] = None
-    intrinsics: CameraIntrinsics = _DEFAULT_K
-    noise: NoiseLevels = NoiseLevels()
-    n_categories: int = 4
-    points_per_box: int = 256
-    ground_points: int = 512
     n_depth_bins: int = 48
-    feature_downsample: int = 16
     bev_z_range: Tuple[float, float] = (0.0, 80.0)
     uneven_depth_bins: bool = False   # depth-bin spacing, as projection reads it
     visibility_tol: float = 0.1
@@ -52,11 +46,6 @@ class SceneSpec:
     def __post_init__(self):
         if self.regime not in REGIME_DEPTH:
             raise ValueError(f"regime must be one of {sorted(REGIME_DEPTH)}")
-        env = REGIME_DEPTH[self.regime]
-        rng = self.depth_range or env
-        if not (env[0] <= rng[0] < rng[1] <= env[1]):
-            raise ValueError(f"depth range must lie within the {self.regime} envelope {env}")
-        object.__setattr__(self, "depth_range", (float(rng[0]), float(rng[1])))
         if self.n_objects < 1:
             raise ValueError("need at least one object")
 
@@ -71,15 +60,15 @@ class SceneBundle:
 
 
 def _sample_boxes(spec: SceneSpec, rng: CounterRng) -> List[Box3D]:
-    K = spec.intrinsics
+    K = _INTRINSICS
     n = spec.n_objects
-    z = rng.uniform(spec.depth_range[0], spec.depth_range[1], n)
+    z = rng.uniform(*REGIME_DEPTH[spec.regime], n)
     u = rng.uniform(0.2 * K.width, 0.8 * K.width, n)
     v = rng.uniform(0.35 * K.height, 0.65 * K.height, n)
     lo, hi = (0.3, 1.2) if spec.regime == "indoor" else (1.0, 4.5)
     dims = rng.uniform(lo, hi, 3 * n).reshape(n, 3)
     yaws = rng.uniform(-np.pi, np.pi, n)
-    cats = rng.integers(0, spec.n_categories, n)
+    cats = rng.integers(0, _N_CATEGORIES, n)
     boxes = []
     for i in range(n):
         center = unproject_pixel(u[i], v[i], z[i], K)
@@ -110,15 +99,15 @@ def _surface_points(box: Box3D, n: int, rng: CounterRng) -> np.ndarray:
 
 def _ground_points(spec: SceneSpec, rng: CounterRng) -> np.ndarray:
     y_ground = 1.5 if spec.regime == "indoor" else 1.8
-    z = rng.uniform(spec.depth_range[0], spec.depth_range[1], spec.ground_points)
-    frac = rng.uniform(-0.55, 0.55, spec.ground_points)
+    z = rng.uniform(*REGIME_DEPTH[spec.regime], _GROUND_POINTS)
+    frac = rng.uniform(-0.55, 0.55, _GROUND_POINTS)
     x = frac * z  # stays inside the horizontal field of view
     return np.column_stack([x, np.full_like(z, y_ground), z])
 
 
 def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution:
-    K = spec.intrinsics
-    ds = spec.feature_downsample
+    K = _INTRINSICS
+    ds = _FEATURE_DOWNSAMPLE
     h_f, w_f = K.height // ds, K.width // ds
     depth = np.full((h_f, w_f), spec.bev_z_range[1] * 0.95)
     if len(cloud):
@@ -132,7 +121,7 @@ def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution
         depth.ravel()[seen] = flat[seen]
     centers = depth_bin_centers(spec.bev_z_range[0], spec.bev_z_range[1], spec.n_depth_bins,
                                 spec.uneven_depth_bins)
-    logits = -((centers[:, None, None] - depth[None]) ** 2) / (2.0 * spec.noise.depth_sigma**2)
+    logits = -((centers[:, None, None] - depth[None]) ** 2) / (2.0 * _DEPTH_SIGMA**2)
     logits -= logits.max(axis=0, keepdims=True)
     expd = np.exp(logits)
     return DepthDistribution(expd / expd.sum(axis=0, keepdims=True))
@@ -143,21 +132,21 @@ def generate(spec: SceneSpec) -> SceneBundle:
     rng = CounterRng(spec.seed)
     boxes = _sample_boxes(spec, rng.child(0))
     srng = rng.child(1)
-    xyz = [_surface_points(box, spec.points_per_box, srng) for box in boxes]
+    xyz = [_surface_points(box, _POINTS_PER_BOX, srng) for box in boxes]
     xyz.append(_ground_points(spec, rng.child(2)))
     pts = np.concatenate(xyz, axis=0)
     nrng = rng.child(3)
-    pts = pts + spec.noise.point_sigma * nrng.normals(pts.size).reshape(pts.shape)
+    pts = pts + _POINT_SIGMA * nrng.normals(pts.size).reshape(pts.shape)
     intensity = rng.child(4).uniforms(len(pts))
     cloud = PointCloud(np.column_stack([pts, intensity]))
-    cloud = visibility_filter(cloud, spec.intrinsics, tol=spec.visibility_tol)
-    ds = spec.feature_downsample
+    cloud = visibility_filter(cloud, _INTRINSICS, tol=spec.visibility_tol)
+    ds = _FEATURE_DOWNSAMPLE
     return SceneBundle(
         boxes=boxes,
         cloud=cloud,
         depth_dist=_depth_distribution(spec, cloud),
-        intrinsics=spec.intrinsics,
-        feature_shape=(spec.intrinsics.height // ds, spec.intrinsics.width // ds),
+        intrinsics=_INTRINSICS,
+        feature_shape=(_INTRINSICS.height // ds, _INTRINSICS.width // ds),
     )
 
 

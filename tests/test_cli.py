@@ -354,6 +354,23 @@ class TestProject:
         assert s["kept"] + round(s["removal_ratio"] * s["total"]) == s["total"]
 
 
+# the flags each kind reads; each kind's handler reads no other
+LOSSES_READS = {
+    "daln": {"--input": "x", "--check-init": None, "--seed": "1", "--out": "o"},
+    "calign": {"--input": "x", "--out": "o"},
+    "mic-p2i": {"--point": "x", "--image": "x", "--mask-p": "x", "--grad-out": "o",
+                "--grad-check": None},
+    "mic-i2p": {"--point": "x", "--image": "x", "--mask-p": "x", "--mask-i": "x",
+                "--grad-out": "o", "--grad-check": None},
+}
+LOSSES_VALID = {
+    "daln": ["--check-init"],
+    "calign": ["--input", "in.json"],
+    "mic-p2i": ["--point", "bp", "--image", "bi", "--mask-p", "mp"],
+    "mic-i2p": ["--point", "bp", "--image", "bi", "--mask-p", "mp", "--mask-i", "mi"],
+}
+
+
 class TestLosses:
     def test_daln_check_init(self, capsys):
         code, out, _ = run(capsys, "losses", "daln", "--check-init")
@@ -440,6 +457,43 @@ class TestLosses:
         with pytest.raises(SystemExit) as exc:
             main(["losses", "mic-p2i"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind in LOSSES_READS
+        for flag in sorted(set().union(*LOSSES_READS.values()) - LOSSES_READS[kind].keys())
+    ])
+    def test_kind_refuses_flags_it_does_not_read(self, capsys, tmp_path, monkeypatch, kind,
+                                                 flag):
+        monkeypatch.chdir(tmp_path)
+        value = {f: v for reads in LOSSES_READS.values() for f, v in reads.items()}[flag]
+        extra = [flag] if value is None else [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(["losses", kind] + LOSSES_VALID[kind] + extra)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bevkit ")
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_kind_pairs(self):
+        assert sum(map(len, LOSSES_READS.values())) == 17
+
+    @pytest.mark.parametrize("argv, message", [
+        (["daln", "--input", "x", "--check-init"],
+         "argument --check-init: not allowed with argument --input"),
+        (["daln", "--seed", "1"], "one of the arguments --input --check-init is required"),
+        (["calign"], "the following arguments are required: --input"),
+        (["calign", "--out", "o"], "the following arguments are required: --input"),
+        (["mic-i2p", "--point", "x", "--image", "x", "--mask-p", "x"],
+         "the following arguments are required: --mask-i"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_kind_requires_its_inputs(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["losses"] + argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bevkit losses {argv[0]} ")
+        assert err.strip().splitlines()[-1] == f"bevkit losses {argv[0]}: error: {message}"
 
 
 class TestEval:

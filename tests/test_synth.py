@@ -45,8 +45,6 @@ class TestRegimes:
 
     def test_depth_range_must_fit_regime(self):
         with pytest.raises(ValueError):
-            SceneSpec(seed=0, regime="indoor", depth_range=(0.5, 20.0))
-        with pytest.raises(ValueError):
             SceneSpec(seed=0, regime="nowhere")
 
 
