@@ -171,20 +171,22 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     return np.sum(heights * area.reshape(-1, 12), axis=1) / 3.0
 
 
-def _pair_ious(a, b) -> np.ndarray:
-    """IoU of each pair of boxes ``a[k]``, ``b[k]``, where ``a`` and ``b``
-    are (centres, dims, rotations) stacks of P boxes each."""
+def _pair_ious(a, b, ia, ib) -> np.ndarray:
+    """IoU of each pair of boxes ``a[ia[k]]``, ``b[ib[k]]``, where ``a`` and
+    ``b`` are (centres, dims, rotations) stacks of boxes.  Only paired
+    boxes are checked for volume."""
     (ca, da, ra), (cb, db, rb) = a, b
-    vol_a, vol_b = np.prod(da, axis=1), np.prod(db, axis=1)
+    vol_a, vol_b = np.prod(da, axis=1)[ia], np.prod(db, axis=1)[ib]
     if np.any(vol_a < _MIN_VOLUME) or np.any(vol_b < _MIN_VOLUME):
         raise ValueError("degenerate (near-zero volume) box")
-    ious = np.zeros(len(ca))
+    ious = np.zeros(len(ia))
     # disjoint bounding spheres: the boxes cannot meet
-    radii = 0.5 * (_norms(da) + _norms(db))
-    near = np.flatnonzero(~(_norms(ca - cb) > radii))
+    radii = 0.5 * (_norms(da)[ia] + _norms(db)[ib])
+    near = np.flatnonzero(~(_norms(ca[ia] - cb[ib]) > radii))
     if near.size == 0:
         return ious
-    ca, da, ra, cb, db, rb = (x[near] for x in (ca, da, ra, cb, db, rb))
+    ia, ib = np.take(ia, near), np.take(ib, near)
+    ca, da, ra, cb, db, rb = ca[ia], da[ia], ra[ia], cb[ib], db[ib], rb[ib]
     corners_a, corners_b = corners_of(ca, da, ra), corners_of(cb, db, rb)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a_in_b, cross_a, pair_a = _vertex_candidates(corners_a, cb, rb, db)
@@ -214,7 +216,7 @@ def iou3d(a: Box3D, b: Box3D, method: str = "exact") -> float:
     Exact for full 3x3 rotations.  ``method`` accepts only ``"exact"``.
     """
     _require_exact(method)
-    return float(_pair_ious(_stack([a]), _stack([b]))[0])
+    return float(_pair_ious(_stack([a]), _stack([b]), [0], [0])[0])
 
 
 _DEFAULT_THRESHOLDS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
@@ -249,20 +251,10 @@ class MatchConfig:
         object.__setattr__(self, "band_names", names)
 
 
-def band_of(z: float, bands: Sequence[Tuple[float, float]]) -> int:
-    """Band containing z; bands are [lo, hi) except the last, which also
-    owns its upper edge.  Returns -1 outside every band."""
-    for i, (lo, hi) in enumerate(bands):
-        if lo <= z < hi:
-            return i
-    if bands and z == bands[-1][1]:
-        return len(bands) - 1
-    return -1
-
-
 def _bands_of(z: np.ndarray, bands: Sequence[Tuple[float, float]]) -> np.ndarray:
-    """``band_of`` of every entry of ``z``, for sorted, non-overlapping
-    bands (as ``MatchConfig`` checks them)."""
+    """Depth band of every entry of ``z``: bands are [lo, hi) except the
+    last, which also owns its upper edge; -1 outside every band.  The
+    bands must be sorted and non-overlapping, as ``MatchConfig`` checks."""
     if not bands:
         return np.full(z.shape, -1, dtype=np.int64)
     lo, hi = np.array(bands, dtype=np.float64).T
@@ -339,8 +331,7 @@ class _Evaluation:
         self.pair_pred = np.repeat(np.arange(len(preds)), count)
         shift = np.repeat(lo - (np.cumsum(count) - count), count)
         self.pair_gt = by_key[shift + np.arange(self.pair_pred.size)]
-        self.ious = _pair_ious(tuple(x[self.pair_pred] for x in p),
-                               tuple(x[self.pair_gt] for x in g))
+        self.ious = _pair_ious(p, g, self.pair_pred, self.pair_gt)
         self.pred_band = _bands_of(p[0][:, 2], bands)
         self.gt_band = _bands_of(g[0][:, 2], bands)
         cats = np.arange(len(self.categories) + 1)

@@ -217,15 +217,10 @@ def project_point(p, K: CameraIntrinsics) -> Projection:
     return Projection(float(u), float(v), float(z), in_view)
 
 
-def project_points(xyz: np.ndarray, K: CameraIntrinsics):
-    """Vectorized projection: returns (u, v, z, in_view) arrays."""
-    u, v, z, _, in_view = _project(xyz, K)
-    return u, v, z, in_view
-
-
 def _project(xyz, K: CameraIntrinsics):
-    """``project_points``' (u, v, z, in_view) and each point's pixel index
-    vi * width + ui; an out-of-view point gets the one extra index
+    """``project_point`` of every point as (u, v, z, pixel, in_view)
+    arrays, where pixel is the index vi * width + ui of the nearest
+    lattice pixel; an out-of-view point gets the one extra index
     width * height, so a per-pixel buffer of width * height + 1 entries
     takes every point without a gather."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)

@@ -8,14 +8,14 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import bevkit.eval3d
-from bevkit.eval3d import (MatchConfig, _bands_of, _Evaluation, _pair_ious, _stack, band_of,
-                           iou3d, match_and_ap)
+from bevkit.eval3d import (MatchConfig, _bands_of, _Evaluation, _pair_ious, _stack, iou3d,
+                           match_and_ap)
 from bevkit.geom import Box3D, Pose, yaw_rotation
 
 
@@ -41,9 +41,14 @@ def halfspace_iou3d(a: Box3D, b: Box3D) -> Optional[float]:
     centers = np.repeat([a.center, b.center], 6, axis=0)
     halves = 0.5 * np.concatenate([a.dims, a.dims, b.dims, b.dims])
     offsets = np.einsum("ij,ij->i", normals, centers) + halves  # n . x <= offset
-    # Chebyshev centre: the deepest point, maximising r in n . x + r <= offset
-    res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([normals, np.ones(12)]),
-                  b_ub=offsets, bounds=[(None, None)] * 3 + [(0.0, None)])
+    # Chebyshev centre: the deepest point, maximising r in n . x + r <= offset.
+    # HiGHS' simplex can stop on an infeasible LP without a verdict (status
+    # 4); its interior-point solver then decides.
+    for method in ("highs", "highs-ipm"):
+        res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([normals, np.ones(12)]),
+                      b_ub=offsets, bounds=[(None, None)] * 3 + [(0.0, None)], method=method)
+        if res.status != 4:
+            break
     if res.status == 2:
         return 0.0
     if res.status != 0 or res.x[3] < 1e-6:
@@ -84,6 +89,18 @@ def random_box(rng, z_lo=2.0, z_hi=12.0) -> Box3D:
     dims = rng.uniform(0.5, 3.0, size=3)
     yaw = rng.uniform(-np.pi, np.pi)
     return Box3D(center, dims, yaw_rotation(yaw))
+
+
+def band_of(z: float, bands) -> int:
+    """Oracle of the depth-band rule, one depth at a time: bands are
+    [lo, hi) except the last, which also owns its upper edge; -1 outside
+    every band."""
+    for i, (lo, hi) in enumerate(bands):
+        if lo <= z < hi:
+            return i
+    if bands and z == bands[-1][1]:
+        return len(bands) - 1
+    return -1
 
 
 def greedy_reference_matched_count(ious: np.ndarray, scores, thr: float) -> int:
@@ -212,6 +229,10 @@ class TestIou3dFullRotations:
 
     @settings(deadline=None, max_examples=100)
     @given(rotated_pairs(), directions, st.floats(1e-6, 3.0))
+    @example(pair=(Box3D([0, 0, 0], [1, 1, 2],
+                         quaternion_rotation((0.0, 1.0, -0.125, -1.661666221934088e-06))),
+                   Box3D([0, 0, 0], [1, 1, 1], quaternion_rotation((0.0, 1.0, -0.0625, 0.0)))),
+             direction=np.array([0.0, 1.0, 0.0]), gap=1.0)   # the simplex LP gives no verdict
     def test_sphere_disjoint_pairs_score_exactly_zero(self, pair, direction, gap):
         a, b = pair
         radii = 0.5 * (np.linalg.norm(a.dims) + np.linalg.norm(b.dims))
@@ -382,7 +403,9 @@ class TestPairIous:
 
     @staticmethod
     def batch(pairs) -> np.ndarray:
-        return _pair_ious(_stack([a for a, _ in pairs]), _stack([b for _, b in pairs]))
+        index = np.arange(len(pairs))
+        return _pair_ious(_stack([a for a, _ in pairs]), _stack([b for _, b in pairs]),
+                          index, index)
 
     @settings(deadline=None, max_examples=150)
     @given(st.lists(mixed_pairs, min_size=1, max_size=12), st.data())
@@ -737,7 +760,7 @@ def former_match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None) -> dict:
         gt_img = np.array([img for img, _ in gts], dtype=np.int64)
         pair_pred, pair_gt = np.nonzero(pred_img[:, None] == gt_img[None, :])
         p, g = _stack([box for _, box in preds]), _stack([box for _, box in gts])
-        ious = _pair_ious(tuple(x[pair_pred] for x in p), tuple(x[pair_gt] for x in g))
+        ious = _pair_ious(p, g, pair_pred, pair_gt)
         gt_band = np.array([band_of(float(b.center[2]), bands) for _, b in gts], dtype=np.int64)
         pred_band = np.array([band_of(float(b.center[2]), bands) for _, b in preds],
                              dtype=np.int64)
@@ -878,9 +901,9 @@ class TestFormerMatchAndAp:
     def test_one_pair_ious_call_per_evaluation(self, monkeypatch):
         calls = []
 
-        def counted(a, b):
-            calls.append(len(a[0]))
-            return _pair_ious(a, b)
+        def counted(a, b, ia, ib):
+            calls.append(len(ia))
+            return _pair_ious(a, b, ia, ib)
 
         monkeypatch.setattr(bevkit.eval3d, "_pair_ious", counted)
         es = eval_mixed_set(1)

@@ -9,9 +9,9 @@ from bevkit.geom import (
     FeatureMap,
     PointCloud,
     Pose,
+    _project,
     box_corners,
     project_point,
-    project_points,
     transform_cloud,
     unproject_pixel,
     yaw_rotation,
@@ -42,7 +42,7 @@ class TestProjection:
     def test_vectorized_matches_scalar(self, default_k):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(100, 3))
-        u, v, z, ok = project_points(pts, default_k)
+        u, v, z, _, ok = _project(pts, default_k)
         for i in range(len(pts)):
             s = project_point(pts[i], default_k)
             assert ok[i] == s.in_view

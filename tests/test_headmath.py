@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit.geom import unproject_pixel
 from bevkit.headmath import (
@@ -270,6 +275,85 @@ class TestMicI2P:
         _, grad = mic_i2p_loss(b_i, b_p, m_i, m_p)
         effective = m_i & ~m_p
         assert not grad[:, ~effective].any()
+
+
+def masked_l1_oracle(target, pred, mask):
+    """Mean |pred - target| over the masked elements, the mask repeated over
+    the leading (channel) axes, summed exactly with ``math.fsum``, and its
+    subgradient sign(pred - target) / count; (0, zeros) for an empty mask."""
+    terms, signs = [], {}
+    for idx in np.ndindex(pred.shape):
+        if mask[idx[pred.ndim - mask.ndim:]]:
+            d = float(pred[idx]) - float(target[idx])
+            terms.append(abs(d))
+            signs[idx] = (d > 0) - (d < 0)
+    grad = np.zeros(pred.shape)
+    if not terms:
+        return 0.0, grad
+    for idx, sign in signs.items():
+        grad[idx] = sign / len(terms)
+    return math.fsum(terms) / len(terms), grad
+
+
+@st.composite
+def mic_inputs(draw, n_masks):
+    """Features with 0-2 leading channel axes over 1-2 cell axes, a
+    prediction some of whose entries equal the target (the L1 kink), and
+    ``n_masks`` cell masks."""
+    cells = draw(array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + cells
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    target = draw(arrays(np.float64, shape, elements=values))
+    delta = draw(arrays(np.float64, shape, elements=st.one_of(st.just(0.0), values)))
+    masks = [draw(arrays(bool, cells)) for _ in range(n_masks)]
+    return target, target + delta, masks
+
+
+def assert_matches_oracle(loss, grad, target, pred, mask):
+    want_loss, want_grad = masked_l1_oracle(target, pred, mask)
+    assert loss == pytest.approx(want_loss, rel=1e-13, abs=0.0)
+    np.testing.assert_array_equal(grad, want_grad)
+    assert grad.shape == pred.shape
+    assert not grad[..., ~mask].any()
+
+
+class TestMicProperties:
+    @given(mic_inputs(1))
+    @settings(deadline=None, max_examples=200)
+    def test_p2i_is_masked_mean(self, case):
+        target, pred, (mask,) = case
+        assert_matches_oracle(*mic_p2i_loss(target, pred, mask), target, pred, mask)
+
+    @given(mic_inputs(2))
+    @settings(deadline=None, max_examples=200)
+    def test_i2p_mask_is_image_and_not_point(self, case):
+        target, pred, (m_i, m_p) = case
+        loss, grad = mic_i2p_loss(target, pred, m_i, m_p)
+        assert_matches_oracle(loss, grad, target, pred, m_i & ~m_p)
+        p2i_loss, p2i_grad = mic_p2i_loss(target, pred, m_i & ~m_p)
+        assert loss == p2i_loss and grad.tobytes() == p2i_grad.tobytes()
+
+    @given(mic_inputs(1))
+    @settings(deadline=None, max_examples=100)
+    def test_empty_mask_gives_zero(self, case):
+        target, pred, (mask,) = case
+        empty = np.zeros_like(mask)
+        for loss, grad in (mic_p2i_loss(target, pred, empty),
+                           mic_i2p_loss(target, pred, empty, mask),
+                           mic_i2p_loss(target, pred, mask, mask)):
+            assert loss == 0.0
+            assert grad.shape == pred.shape and not grad.any()
+
+    @given(mic_inputs(2))
+    @settings(deadline=None, max_examples=100)
+    def test_channels_broadcast_over_mask(self, case):
+        # a cell mask scores every channel as the full-shape mask does
+        target, pred, (m_i, m_p) = case
+        full_i, full_p = (np.broadcast_to(m, pred.shape) for m in (m_i, m_p))
+        for cell, full in ((mic_p2i_loss(target, pred, m_p), mic_p2i_loss(target, pred, full_p)),
+                           (mic_i2p_loss(target, pred, m_i, m_p),
+                            mic_i2p_loss(target, pred, full_i, full_p))):
+            assert cell[0] == full[0] and cell[1].tobytes() == full[1].tobytes()
 
 
 class TestHeatmapPeaks:
