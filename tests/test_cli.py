@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit import io as bio
-from bevkit.cli import main
+from bevkit.cli import _build_parser, main
 from bevkit.config import Config, load_config, save_config
 from bevkit.geom import Box3D, CameraIntrinsics, PointCloud
 from bevkit.liftsplat import DepthDistribution, sparse_prune, splat_to_bev
@@ -475,10 +475,18 @@ class TestLosses:
         assert f"unrecognized arguments: {' '.join(extra)}" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_flag_kind_pairs(self):
-        assert sum(map(len, LOSSES_READS.values())) == 17
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind, reads in LOSSES_READS.items() for flag in reads
+    ])
+    def test_kind_accepts_flags_it_reads(self, kind, flag):
+        value = LOSSES_READS[kind][flag]
+        extra = [flag] if value is None else [flag, value]
+        # a repeated flag overrides; only daln's --input excludes a valid flag
+        base = [] if (kind, flag) == ("daln", "--input") else LOSSES_VALID[kind]
+        args = _build_parser().parse_args(["losses", kind] + base + extra)
+        assert args.kind == kind
 
-    @pytest.mark.parametrize("argv, message", [
+    REFUSED = [
         (["daln", "--input", "x", "--check-init"],
          "argument --check-init: not allowed with argument --input"),
         (["daln", "--seed", "1"], "one of the arguments --input --check-init is required"),
@@ -486,7 +494,10 @@ class TestLosses:
         (["calign", "--out", "o"], "the following arguments are required: --input"),
         (["mic-i2p", "--point", "x", "--image", "x", "--mask-p", "x"],
          "the following arguments are required: --mask-i"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    ]
+
+    @pytest.mark.parametrize("argv, message",
+                             [pytest.param(a, m, id=" ".join(a)) for a, m in REFUSED])
     def test_kind_requires_its_inputs(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(["losses"] + argv)
