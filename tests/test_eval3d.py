@@ -415,9 +415,29 @@ class TestPairIous:
         assert got.tobytes() == expected.tobytes()
         order = data.draw(st.permutations(range(len(pairs))))
         assert self.batch([pairs[k] for k in order]).tobytes() == got[order].tobytes()
+        # the b boxes stacked in another order, pairs named by index, some
+        # more than once
+        picks = np.array(data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=12)),
+                         dtype=np.int64)
+        order = data.draw(st.permutations(range(len(pairs))))
+        indexed = _pair_ious(_stack([a for a, _ in pairs]), _stack([pairs[k][1] for k in order]),
+                             picks, np.argsort(order)[picks])
+        assert indexed.tobytes() == got[picks].tobytes()
 
     def test_empty_batch(self):
         assert self.batch([]).shape == (0,)
+
+    def test_sphere_test_reads_each_pairs_own_boxes(self):
+        # pair 0 overlaps only through its large b, and the b stack puts
+        # pair 1's tiny b first: a radius read at the wrong index rejects it
+        eye = np.eye(3)
+        pairs = [(Box3D([0, 0, 0], [1, 1, 1], eye), Box3D([2.2, 0, 0], [4, 4, 4], eye)),
+                 (Box3D([9, 0, 0], [1, 1, 1], eye), Box3D([9, 0, 0], [0.1, 0.1, 0.1], eye))]
+        expected = np.array([iou3d(a, b) for a, b in pairs])
+        assert expected[0] > 0.0
+        got = _pair_ious(_stack([a for a, _ in pairs]), _stack([pairs[1][1], pairs[0][1]]),
+                         [0, 1, 0], [1, 0, 1])
+        assert got.tobytes() == expected[[0, 1, 0]].tobytes()
 
 
 class TestMatchAndAp:
