@@ -42,7 +42,22 @@ from .rng import CounterRng
 from .synth import SceneSpec, generate
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1.
+
+    ``conflicts`` pairs (a, b) of option dests refuse b when a is given:
+    an option one mode of a subcommand does not read."""
+
+    def __init__(self, *args, conflicts=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._conflicts = conflicts
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        flag = {a.dest: a.option_strings[0] for a in self._actions if a.option_strings}
+        for a, b in self._conflicts:
+            if getattr(namespace, a) not in (None, False) and getattr(namespace, b) is not None:
+                self.error(f"argument {flag[b]}: not allowed with argument {flag[a]}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -103,7 +118,7 @@ def _cmd_bench(args, cfg: Config) -> int:
     taus = args.tau if args.tau else [0.0, 1e-3, 1e-2, 1e-1]
     K = bio.read_intrinsics(args.intrinsics) if args.intrinsics else _bench_intrinsics(args)
     rows = bench_projection(K, cfg.grid(), taus, seed=args.seed, c_i=args.ci, c_d=args.cd,
-                            h_f=args.hf, w_f=args.wf)
+                            h_f=args.hf, w_f=args.wf, uneven_bins=cfg.uneven_projection_bins)
     lines = ["tau,kept_ratio,checksum"]
     for row in rows:
         lines.append(f"{row['tau']!r},{row['kept_ratio']!r},{row['checksum']}")
@@ -165,7 +180,7 @@ def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def _losses_daln(args, cfg: Config) -> int:
     if args.check_init:
-        rng = CounterRng(args.seed)
+        rng = CounterRng(args.seed or 0)
         worst = 0.0
         for _ in range(200):
             c = int(rng.integers(2, 17, 1)[0])
@@ -311,12 +326,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("losses", help="evaluate head losses from TNSR/JSON inputs")
     kinds = p.add_subparsers(dest="kind", required=True)
-    k = kinds.add_parser("daln", help="depth-aware layer norm of a JSON input")
+    k = kinds.add_parser("daln", help="depth-aware layer norm of a JSON input",
+                         conflicts=(("input", "seed"), ("check_init", "out")))
     source = k.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="JSON input: alphas, betas, x, confidence")
     source.add_argument("--check-init", action="store_true",
                         help="report max deviation from plain layer norm at init")
-    k.add_argument("--seed", type=int, default=0, help="seed of --check-init's draws")
+    k.add_argument("--seed", type=int, help="seed of --check-init's draws (default 0)")
     k.add_argument("--out", help="write the --input output JSON here")
     k.set_defaults(fn=_losses_daln)
     k = kinds.add_parser("calign", help="class-alignment loss of a JSON input")

@@ -191,6 +191,15 @@ class PointCloud:
     def empty(cls) -> "PointCloud":
         return cls(np.empty((0, 4)))
 
+    @classmethod
+    def _of_checked_rows(cls, rows: np.ndarray) -> "PointCloud":
+        """Wrap a fresh C-contiguous (N, 4) float64 array of rows cut from
+        an already-checked cloud, skipping the finiteness re-check."""
+        rows.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", rows)
+        return cloud
+
 
 class Projection(NamedTuple):
     u: float
@@ -218,36 +227,37 @@ def project_point(p, K: CameraIntrinsics) -> Projection:
 
 
 def _project(xyz, K: CameraIntrinsics):
-    """``project_point`` of every point as (u, v, z, pixel, in_view)
-    arrays, where pixel is the index vi * width + ui of the nearest
-    lattice pixel; an out-of-view point gets the one extra index
-    width * height, so a per-pixel buffer of width * height + 1 entries
-    takes every point without a gather."""
+    """``project_point`` of every point as (z, pixel, in_view) arrays,
+    where pixel is the index vi * width + ui of the nearest lattice pixel
+    (ui = floor(u + 0.5), vi = floor(v + 0.5)); an out-of-view point gets
+    the one extra index width * height, so a per-pixel buffer of
+    width * height + 1 entries takes every point without a gather."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    z = xyz[:, 2]
-    front = z > _MIN_DEPTH
-    safe_z = np.where(front, z, 1.0)
-    # far off axis just in front of the camera, u or v is +-inf and the
-    # pixel index below overflows or is nan; such points are out of view
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = K.fx * xyz[:, 0] / safe_z + K.cx
-        v = K.fy * xyz[:, 1] / safe_z + K.cy
-        # the nearest lattice pixel (half-up rounding), kept as floats
-        fu = u + 0.5
-        fv = v + 0.5
-        np.floor(fu, out=fu)
-        np.floor(fv, out=fv)
-        in_view = fu >= 0
+    # one copy of the strided column serves three passes here and the
+    # caller's z-buffer passes
+    z = np.ascontiguousarray(xyz[:, 2])
+    # u and v are project_point's for z > 1e-9 and ignored elsewhere, so
+    # they divide by z as it is; far off axis just in front of the
+    # camera, u or v is +-inf and the pixel index below overflows or is
+    # nan; such points are out of view
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fu, fv = K.fx * xyz[:, 0], K.fy * xyz[:, 1]
+        for f, c in ((fu, K.cx), (fv, K.cy)):
+            f /= z
+            f += c
+            f += 0.5              # the nearest lattice pixel (half-up rounding)
+            np.floor(f, out=f)    # kept as floats
+        in_view = z > _MIN_DEPTH
+        in_view &= fu >= 0
         in_view &= fu < K.width
         in_view &= fv >= 0
         in_view &= fv < K.height
-        in_view &= front
         fv *= K.width
         fv += fu
     # only in-view indices are cast, so no non-finite value is
     pixel = np.full(z.shape, K.width * K.height, dtype=np.int64)
     np.copyto(pixel, fv, casting="unsafe", where=in_view)
-    return u, v, z, pixel, in_view
+    return z, pixel, in_view
 
 
 def unproject_pixel(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:

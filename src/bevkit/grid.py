@@ -138,17 +138,25 @@ class _SlotTable(NamedTuple):
         )
 
     def slot_of(self, z: np.ndarray) -> np.ndarray:
-        return _floor_clipped((z - self.z_min) * self.scale, self.first_bin.size - 1)
+        t = z - self.z_min
+        with np.errstate(over="ignore"):   # a huge z clips to the last slot
+            t *= self.scale
+        return _floor_clipped(t, self.first_bin.size - 1)
 
 
 def _floor_clipped(t: np.ndarray, top: int) -> np.ndarray:
-    """floor(t) clipped to [0, top] as int64; NaN gives 0."""
-    return np.fmin(np.fmax(t, 0.0), top).astype(np.int64)
+    """floor(t) clipped to [0, top] as int64; NaN gives 0.  Clips t in
+    place."""
+    np.fmax(t, 0.0, out=t)
+    np.fmin(t, top, out=t)
+    return t.astype(np.int64)
 
 
 def _in_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """lo <= v <= hi and v finite."""
-    return (v >= lo) & (v <= hi) & np.isfinite(v)
+    """lo <= v <= hi; false for a non-finite v, as a grid's range is finite."""
+    ok = v >= lo
+    ok &= v <= hi
+    return ok
 
 
 def _require_finite(*values) -> None:
@@ -169,35 +177,64 @@ def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> Une
     return UnevenGridSpec((x_lo, x_hi), (z_lo, z_hi), n_x, n_z, edges)
 
 
-def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
-    """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
-    maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
-    non-finite z (a normal path, not an error).  Accepts scalars."""
-    # one copy of a strided column costs less than strided reads in every pass
-    z = np.asarray(z, dtype=np.float64, order="C")
-    shape, z = z.shape, z.reshape(-1)
+def _depth_index(z: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
+    """Depth bin of each z in [z_min, z_max]: i with edges[i] <= z <
+    edges[i+1], the last bin for z == z_max; any bin for other z."""
     table = g._slots
     idx = table.first_bin[table.slot_of(z)]
     for step in table.steps:
         np.add(idx, step, out=idx, where=z >= table.upper[step - 1:][idx])
-    return np.where(_in_range(z, *g.z_range), idx, OUT_OF_RANGE).reshape(shape)
+    return idx
+
+
+def _lateral_index(x: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
+    """Uniform lateral bin floor((x - x_min) / lateral_width) of each x in
+    float64, capped at n_x - 1 so that x == x_max maps to the last bin;
+    any bin for x outside [x_min, x_max]."""
+    t = x - g.x_range[0]
+    with np.errstate(over="ignore"):   # a huge x clips to the last bin
+        t /= g.lateral_width
+    return _floor_clipped(t, g.n_x - 1)
+
+
+def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
+    """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
+    maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
+    non-finite z (a normal path, not an error).  Accepts scalars."""
+    z = np.asarray(z, dtype=np.float64, order="C")
+    shape, z = z.shape, z.reshape(-1)
+    return np.where(_in_range(z, *g.z_range), _depth_index(z, g), OUT_OF_RANGE).reshape(shape)
 
 
 def lateral_bins_of(x, g: UnevenGridSpec) -> np.ndarray:
-    """Uniform lateral bin of each x: floor((x - x_min) / lateral_width) in
-    float64, capped at n_x - 1 so that x == x_max maps to the last bin;
-    OUT_OF_RANGE outside [x_min, x_max] or for a non-finite x (a normal
-    path, not an error).  Accepts scalars."""
+    """Uniform lateral bin of each x (``_lateral_index``); OUT_OF_RANGE
+    outside [x_min, x_max] or for a non-finite x (a normal path, not an
+    error).  Accepts scalars."""
     x = np.asarray(x, dtype=np.float64, order="C")
-    idx = _floor_clipped((x - g.x_range[0]) / g.lateral_width, g.n_x - 1)
-    return np.where(_in_range(x, *g.x_range), idx, OUT_OF_RANGE)
+    shape, x = x.shape, x.reshape(-1)
+    return np.where(_in_range(x, *g.x_range), _lateral_index(x, g), OUT_OF_RANGE).reshape(shape)
 
 
 def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
     """Linear BEV cell i_z * n_x + i_x of each point (x, z), or OUT_OF_RANGE
-    where either bin is off the grid."""
-    i_z, i_x = depth_bins_of(z, g), lateral_bins_of(x, g)
-    return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, OUT_OF_RANGE)
+    where either bin is off the grid; x and z share one shape.
+
+    The two bin indices are combined in place, and one in-range mask
+    covering both axes marks the off-grid points."""
+    # one copy of a strided column costs less than strided reads in every pass
+    x = np.asarray(x, dtype=np.float64, order="C")
+    z = np.asarray(z, dtype=np.float64, order="C")
+    shape, x, z = z.shape, x.reshape(-1), z.reshape(-1)
+    off_grid = _in_range(z, *g.z_range)
+    off_grid &= _in_range(x, *g.x_range)
+    np.logical_not(off_grid, out=off_grid)
+    i_x = _lateral_index(x, g)
+    del x                     # a copy, freed before the depth lookup's temporaries
+    cells = _depth_index(z, g)
+    cells *= g.n_x
+    cells += i_x
+    np.copyto(cells, OUT_OF_RANGE, where=off_grid)
+    return cells.reshape(shape)
 
 
 def cell_centers(cells, g: UnevenGridSpec) -> tuple:

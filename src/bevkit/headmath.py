@@ -151,20 +151,30 @@ def _masked_l1(target: np.ndarray, pred: np.ndarray, mask: np.ndarray):
     the number of masked elements (mask cells x channels).  An empty mask
     yields loss 0 with an all-zero gradient.  sign(0) = 0 pins the L1
     subgradient at zero.
+
+    Only masked cells are subtracted.  Their |d| is scattered into a
+    zero array of the features' shape before the sum, so numpy's pairwise
+    sum groups the same values as over a dense masked difference.
     """
     if target.shape != pred.shape:
         raise ValueError(f"feature shapes differ: {target.shape} vs {pred.shape}")
     if mask.shape != target.shape[-mask.ndim:]:
         raise ValueError(f"mask shape {mask.shape} does not match features {target.shape}")
-    mask = mask.astype(bool)
-    n_lead = int(np.prod(target.shape[:-mask.ndim], dtype=np.int64)) if target.ndim > mask.ndim else 1
-    count = int(mask.sum()) * n_lead
+    cells = np.flatnonzero(mask)
+    n_lead = target.size // mask.size if mask.size else 1
+    count = cells.size * n_lead
     if count == 0:
         return 0.0, np.zeros_like(pred)
-    diff = (pred - target) * mask
-    loss = float(np.sum(np.abs(diff)) / count)
-    grad = np.sign(diff) / count
-    return loss, grad
+    pred_2d = pred.reshape(n_lead, mask.size)
+    diff = pred_2d[:, cells] - target.reshape(n_lead, mask.size)[:, cells]
+    dense = np.zeros_like(pred_2d)
+    dense[:, cells] = np.abs(diff)
+    loss = float(np.sum(dense.reshape(pred.shape)) / count)
+    # the gradient overwrites exactly the cells the loss used
+    np.sign(diff, out=diff)
+    diff /= count
+    dense[:, cells] = diff
+    return loss, dense.reshape(pred.shape)
 
 
 def mic_p2i_loss(b_p, b_i_hat, m_p, with_stopped_grad: bool = False):

@@ -195,18 +195,19 @@ def synth_projection_inputs(seed: int, c_i: int, c_d: int, h_f: int, w_f: int):
 
 
 def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int,
-                     c_i: int, c_d: int, h_f: int, w_f: int):
+                     c_i: int, c_d: int, h_f: int, w_f: int, uneven_bins: bool):
     """Prune once per threshold; report the kept ratio and a checksum.
 
-    The checksum column hashes the dense (tau = 0) output, so it is
-    threshold-independent: rows benchmarked against different inputs
-    cannot be compared by accident.
+    The checksum column hashes the dense (tau = 0) output, splatted with
+    ``uneven_bins`` projection-bin spacing, so it is threshold-independent:
+    rows benchmarked against different inputs cannot be compared by
+    accident.
     """
     taus = [float(t) for t in taus]
     if any(t < 0 for t in taus):
         raise ValueError("tau must be non-negative")
     f_i, f_d = synth_projection_inputs(seed, c_i, c_d, h_f, w_f)
-    dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), K, g)
+    dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), K, g, uneven_bins=uneven_bins)
     checksum = hashlib.sha256(dense.bev.data.tobytes()).hexdigest()[:16]
     rows = []
     for tau in taus:

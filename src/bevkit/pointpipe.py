@@ -70,21 +70,30 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
     """One point per valid pixel, unprojected through the pinhole model.
 
     Pixels scan row-major; intensity is set to 1 for every point.
+    (u - cx) * z / fx comes from a row of u - cx broadcast down the
+    image, (v - cy) * z / fy from a column; only a map with an invalid
+    pixel is compressed first.
     """
     if (dm.height, dm.width) != (K.height, K.width):
         raise ValueError(
             f"depth map is {dm.width}x{dm.height} but intrinsics expect "
             f"{K.width}x{K.height}"
         )
-    flat = np.flatnonzero(np.isfinite(dm.depths) & (dm.depths > 0))
-    vv, uu = np.divmod(flat, dm.width)
-    z = dm.depths.ravel()[flat]
-    points = np.empty((flat.size, 4))
-    points[:, 0] = (uu - K.cx) * z / K.fx
-    points[:, 1] = (vv - K.cy) * z / K.fy
-    points[:, 2] = z
-    points[:, 3] = 1.0
-    return PointCloud(points)
+    z = dm.depths
+    u = np.arange(dm.width) - K.cx
+    v = (np.arange(dm.height) - K.cy)[:, None]
+    valid = z > 0
+    valid &= z < np.inf      # NaN fails both tests
+    if not valid.all():
+        z, u, v = (np.broadcast_to(a, z.shape)[valid] for a in (z, u, v))
+    x = u * z
+    x /= K.fx
+    y = v * z
+    y /= K.fy
+    points = np.empty(z.shape + (4,))
+    for k, column in enumerate((x, y, z, 1.0)):
+        points[..., k] = column
+    return PointCloud(points.reshape(-1, 4))
 
 
 def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> PointCloud:
@@ -108,7 +117,7 @@ def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     one z-buffer pass; returns (PointCloud, dict)."""
     survive, in_view = _visibility_mask(pc, K, tol)
     kept = np.compress(survive, pc.points, axis=0)
-    return PointCloud(kept), _unify_counts(survive, in_view)
+    return PointCloud._of_checked_rows(kept), _unify_counts(survive, in_view)
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
@@ -118,10 +127,12 @@ def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
     one extra dump pixel, which no in-view point reads."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    _, _, z, pixel, in_view = _project(pc.xyz, K)
+    z, pixel, in_view = _project(pc.xyz, K)
     minz = np.full(K.width * K.height + 1, np.inf)
     np.minimum.at(minz, pixel, z)
-    survive = in_view & (z <= minz[pixel] + tol)
+    minz += tol               # once per pixel, not once per point
+    survive = z <= minz[pixel]
+    survive &= in_view
     return survive, in_view
 
 
@@ -154,9 +165,12 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     seg_cells = np.flatnonzero(counts[:g.n_cells])
     counts = counts[seg_cells]
     # one entry per row; scipy's csc_matvecs adds each row to its cell's
-    # sum in row order, and 1.0 * x is exact
-    by_row = scipy.sparse.csc_matrix((np.ones(n), cells, np.arange(n + 1)),
-                                     shape=(g.n_cells + 1, n))
+    # sum in row order, and 1.0 * x is exact.  Indices that fit int32 go
+    # in as int32, which scipy would otherwise find by a scan and a cast.
+    index = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    by_row = scipy.sparse.csc_matrix(
+        (np.ones(n), cells.astype(index), np.arange(n + 1, dtype=index)),
+        shape=(g.n_cells + 1, n))
     sums = (by_row @ pc.points)[seg_cells]
     means = sums / counts[:, None]
     center_x, center_z = cell_centers(seg_cells, g)

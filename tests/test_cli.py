@@ -363,6 +363,8 @@ LOSSES_READS = {
     "mic-i2p": {"--point": "x", "--image": "x", "--mask-p": "x", "--mask-i": "x",
                 "--grad-out": "o", "--grad-check": None},
 }
+# the mode of daln that reads each of its optional flags
+DALN_MODE_OF = {"--seed": ["--check-init"], "--out": ["--input", "in.json"]}
 LOSSES_VALID = {
     "daln": ["--check-init"],
     "calign": ["--input", "in.json"],
@@ -481,10 +483,27 @@ class TestLosses:
     def test_kind_accepts_flags_it_reads(self, kind, flag):
         value = LOSSES_READS[kind][flag]
         extra = [flag] if value is None else [flag, value]
-        # a repeated flag overrides; only daln's --input excludes a valid flag
-        base = [] if (kind, flag) == ("daln", "--input") else LOSSES_VALID[kind]
+        # a repeated flag overrides; daln reads --out in its --input mode
+        base = DALN_MODE_OF.get(flag, []) if kind == "daln" else LOSSES_VALID[kind]
         args = _build_parser().parse_args(["losses", kind] + base + extra)
         assert args.kind == kind
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode in (["--input", "in.json"], ["--check-init"])
+        for flag in ("--seed", "--out") if DALN_MODE_OF[flag] != mode
+    ])
+    def test_daln_mode_refuses_flags_it_does_not_read(self, capsys, tmp_path, monkeypatch,
+                                                      mode, flag):
+        monkeypatch.chdir(tmp_path)
+        extra = [flag, LOSSES_READS["daln"][flag]]
+        with pytest.raises(SystemExit) as exc:
+            main(["losses", "daln"] + mode + extra)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bevkit losses daln ")
+        assert err.strip().splitlines()[-1] == (
+            f"bevkit losses daln: error: argument {flag}: not allowed with argument {mode[0]}")
+        assert list(tmp_path.iterdir()) == []
 
     REFUSED = [
         (["daln", "--input", "x", "--check-init"],
@@ -605,6 +624,19 @@ class TestBenchDeterminism:
         assert main(["--threads", "1"] + base + ["--out", str(one)]) == 0
         assert main(["--threads", "4"] + base + ["--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
+
+    def test_config_uneven_projection_bins_moves_the_checksum(self, capsys, tmp_path):
+        args = ["bench", "--tau", "0", "--hf", "8", "--wf", "8", "--cd", "12", "--ci", "4"]
+        checksums = {}
+        for uneven in (True, False, None):
+            out = tmp_path / f"{uneven}.csv"
+            cfg = tmp_path / f"{uneven}.json"
+            cfg.write_text(json.dumps({} if uneven is None else {"uneven_projection_bins": uneven}))
+            assert main(["--config", str(cfg)] + args + ["--out", str(out)]) == 0
+            checksums[uneven] = out.read_text().splitlines()[1].rsplit(",", 1)[1]
+        # the default config splats with even bins
+        assert checksums[False] == checksums[None] == "cdbaf4d2a31bba95"
+        assert checksums[True] != checksums[False]
 
     @pytest.mark.parametrize("flag", ["--hf", "--wf", "--cd"])
     def test_zero_size_is_named(self, capsys, tmp_path, flag):

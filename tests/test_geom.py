@@ -18,6 +18,73 @@ from bevkit.geom import (
 )
 
 
+def former_project(xyz, K: CameraIntrinsics):
+    """The form ``_project`` had before, which returned (u, v, z, pixel,
+    in_view): z <= 1e-9 swapped for 1 before the divide, u and v kept next
+    to their rounded copies."""
+    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    z = xyz[:, 2]
+    front = z > 1e-9
+    safe_z = np.where(front, z, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = K.fx * xyz[:, 0] / safe_z + K.cx
+        v = K.fy * xyz[:, 1] / safe_z + K.cy
+        fu = np.floor(u + 0.5)
+        fv = np.floor(v + 0.5)
+        in_view = (fu >= 0) & (fu < K.width) & (fv >= 0) & (fv < K.height) & front
+        fv = fv * K.width + fu
+    pixel = np.full(z.shape, K.width * K.height, dtype=np.int64)
+    np.copyto(pixel, fv, casting="unsafe", where=in_view)
+    return u, v, z, pixel, in_view
+
+
+# A 16 x 12 camera whose lattice borders are reached at z = 1 by x in
+# [-1.03, 1.03] and y in [-0.76, 0.76].
+PROBE_K = CameraIntrinsics(fx=8.0, fy=8.0, cx=7.5, cy=5.5, width=16, height=12)
+MIN_DEPTHS = [1e-9, float(np.nextafter(1e-9, 0)), float(np.nextafter(1e-9, 1)), 0.0, -0.0,
+              -1.0]
+coords = st.one_of(st.floats(-1.2, 1.2), st.sampled_from([1e300, -1e300, 1e-300]),
+                   st.sampled_from([np.inf, -np.inf, np.nan]),
+                   # pixel borders at z = 1: u + 0.5 lands on an integer
+                   st.integers(-1, 16).map(lambda k: (k - 8.0) / 8.0))
+depths = st.one_of(st.sampled_from(MIN_DEPTHS + [1.0, np.inf, np.nan]), st.floats(1e-12, 1e3))
+
+
+class TestFormerProject:
+    """``_project`` against its former form, byte for byte."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(rows=st.lists(st.tuples(coords, coords, depths), max_size=40))
+    def test_matches_the_former_form(self, rows):
+        xyz = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _, _, *want = former_project(xyz, PROBE_K)
+        got = _project(xyz, PROBE_K)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_pixel_borders_off_a_dyadic_principal_point(self):
+        # with such a cx, (a + cx) + 0.5 and a + (cx + 0.5) round to
+        # different sides of some pixel borders: the former order holds
+        K = CameraIntrinsics(fx=1.0, fy=1.0, cx=15.547039609916075, cy=5.547039609916075,
+                             width=32, height=12)
+        x = np.arange(-1, K.width + 1) - 0.5 - K.cx
+        x = (x[:, None] + np.arange(-4, 5) * np.spacing(np.abs(x))[:, None]).ravel()
+        y = x + (K.cx - K.cy)
+        xyz = np.column_stack([np.concatenate([x, np.zeros_like(y)]),
+                               np.concatenate([np.zeros_like(x), y]), np.ones(2 * x.size)])
+        _, _, *want = former_project(xyz, K)
+        got = _project(xyz, K)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_strided_columns_of_a_cloud(self, default_k):
+        rng = np.random.default_rng(3)
+        points = np.column_stack([rng.uniform(-8, 8, (5000, 2)), rng.uniform(-1, 9, 5000),
+                                  np.ones(5000)])
+        _, _, *want = former_project(points[:, :3], default_k)
+        got = _project(points[:, :3], default_k)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 class TestProjection:
     def test_principal_point_ray(self, default_k):
         u, v, z, ok = project_point((0.0, 0.0, 5.0), default_k)
@@ -42,12 +109,17 @@ class TestProjection:
     def test_vectorized_matches_scalar(self, default_k):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(100, 3))
-        u, v, z, _, ok = _project(pts, default_k)
+        # u and v are checked through the pixel index they round to
+        z, pixel, ok = _project(pts, default_k)
+        w, h = default_k.width, default_k.height
         for i in range(len(pts)):
             s = project_point(pts[i], default_k)
             assert ok[i] == s.in_view
+            assert z[i] == s.z
             if s.in_view:
-                assert (u[i], v[i], z[i]) == (s.u, s.v, s.z)
+                assert pixel[i] == np.floor(s.v + 0.5) * w + np.floor(s.u + 0.5)
+            else:
+                assert pixel[i] == w * h
 
 
 class TestUnprojection:
@@ -184,3 +256,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             PointCloud([[np.inf, 0.0, 0.0, 0.0]])
         assert len(PointCloud.empty()) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_cloud_rejects_every_non_finite_entry(self, bad):
+        # the public constructor checks; only rows cut from a checked
+        # cloud skip the check
+        for column in range(4):
+            row = [0.0, 0.0, 1.0, 1.0]
+            row[column] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                PointCloud([[0.0, 0.0, 2.0, 1.0], row])

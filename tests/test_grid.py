@@ -171,6 +171,60 @@ def _near(values):
     return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
 
 
+def former_cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
+    """The form ``cells_of`` had before: each axis binned on its own copy
+    of its column, with its own in-range mask (an isfinite test among
+    them), then the two bins combined by a third select."""
+    def in_range(v, lo, hi):
+        return (v >= lo) & (v <= hi) & np.isfinite(v)
+
+    def floor_clipped(t, top):
+        return np.fmin(np.fmax(t, 0.0), top).astype(np.int64)
+
+    z = np.asarray(z, dtype=np.float64, order="C")
+    table = g._slots
+    i_z = table.first_bin[floor_clipped((z - table.z_min) * table.scale,
+                                        table.first_bin.size - 1)]
+    for step in table.steps:
+        np.add(i_z, step, out=i_z, where=z >= table.upper[step - 1:][i_z])
+    i_z = np.where(in_range(z, *g.z_range), i_z, OUT_OF_RANGE)
+    x = np.asarray(x, dtype=np.float64, order="C")
+    i_x = floor_clipped((x - g.x_range[0]) / g.lateral_width, g.n_x - 1)
+    i_x = np.where(in_range(x, *g.x_range), i_x, OUT_OF_RANGE)
+    return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, OUT_OF_RANGE)
+
+
+class TestFormerCellsOf:
+    """The fused ``cells_of`` against its former form, byte for byte."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        x_lo=st.floats(-100.0, 100.0), x_span=st.floats(0.01, 200.0),
+        z_lo=st.floats(0.0, 50.0), z_span=st.floats(0.01, 150.0),
+        n_x=st.integers(1, 70), n_z=st.integers(1, 90), uneven=st.booleans(),
+        extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    )
+    def test_matches_the_former_form(self, x_lo, x_span, z_lo, z_span, n_x, n_z, uneven,
+                                     extra):
+        g = build_grid((x_lo, x_lo + x_span), (z_lo, z_lo + z_span), n_x, n_z, uneven)
+        lateral_edges = g.x_range[0] + np.arange(n_x + 1) * g.lateral_width
+        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, *extra]
+        xs = np.concatenate([_near(lateral_edges), _near(g.x_range), specials])
+        zs = np.concatenate([_near(g.depth_edges), specials])
+        x, z = (a.ravel() for a in np.meshgrid(xs, zs))
+        with np.errstate(over="ignore"):
+            want = former_cells_of(x, z, g)
+        assert cells_of(x, z, g).tobytes() == want.tobytes()
+
+    def test_strided_columns_of_a_cloud(self, reference_grid):
+        # pillarize passes the x and z columns of an (N, 4) cloud
+        rng = np.random.default_rng(8)
+        points = rng.uniform(-40.0, 90.0, (20_000, 4))
+        x, z = points[:, 0], points[:, 2]
+        assert cells_of(x, z, reference_grid).tobytes() == former_cells_of(
+            x, z, reference_grid).tobytes()
+
+
 class TestCellsOf:
     @settings(deadline=None, max_examples=150)
     @given(

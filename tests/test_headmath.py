@@ -356,6 +356,74 @@ class TestMicProperties:
             assert cell[0] == full[0] and cell[1].tobytes() == full[1].tobytes()
 
 
+def former_masked_l1(target, pred, mask):
+    """The dense form ``_masked_l1`` used before: the difference of every
+    element times the mask, its |d| summed by numpy and its sign scaled."""
+    mask = mask.astype(bool)
+    n_lead = int(np.prod(target.shape[:-mask.ndim], dtype=np.int64)) if target.ndim > mask.ndim else 1
+    count = int(mask.sum()) * n_lead
+    if count == 0:
+        return 0.0, np.zeros_like(pred)
+    diff = (pred - target) * mask
+    return float(np.sum(np.abs(diff)) / count), np.sign(diff) / count
+
+
+@st.composite
+def signed_zero_inputs(draw, n_masks):
+    """``mic_inputs`` whose entries are often +-0.0 or equal, so that
+    differences are ties at zero, -0.0 - 0.0 = -0.0 among them."""
+    cells = draw(array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + cells
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    target = draw(arrays(np.float64, shape, elements=values))
+    pred = draw(arrays(np.float64, shape, elements=values))
+    masks = [draw(arrays(bool, cells)) for _ in range(n_masks)]
+    return target, pred, masks
+
+
+def assert_same_bits(got, want):
+    assert repr(got[0]) == repr(want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestFormerMaskedL1:
+    """The masked-cell ``_masked_l1`` against the dense form, byte for
+    byte: numpy sums the same zero-padded array, so no bit moves."""
+
+    @given(signed_zero_inputs(2))
+    @settings(deadline=None, max_examples=300)
+    def test_both_losses_match_the_dense_form(self, case):
+        target, pred, (m_i, m_p) = case
+        assert_same_bits(mic_p2i_loss(target, pred, m_p), former_masked_l1(target, pred, m_p))
+        assert_same_bits(mic_i2p_loss(target, pred, m_i, m_p),
+                         former_masked_l1(target, pred, m_i & ~m_p))
+
+    @given(signed_zero_inputs(1))
+    @settings(deadline=None, max_examples=50)
+    def test_empty_mask(self, case):
+        target, pred, (mask,) = case
+        empty = np.zeros_like(mask)
+        assert_same_bits(mic_p2i_loss(target, pred, empty), former_masked_l1(target, pred, empty))
+
+    def test_signed_zero_difference(self):
+        target, pred = np.zeros((2, 3)), np.array([[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
+        mask = np.array([True, False, True])
+        got = mic_p2i_loss(target, pred, mask)
+        assert_same_bits(got, former_masked_l1(target, pred, mask))
+        assert not np.signbit(got[1]).any()   # sign(-0.0) is +0.0
+
+    @pytest.mark.parametrize("density", [0.0, 0.004, 0.014, 0.4, 1.0])
+    def test_frame_sized_features(self, density):
+        # 64 channels over a 60 x 80 grid: numpy's pairwise sum recurses
+        rng = np.random.default_rng(int(density * 1000))
+        target, pred = rng.standard_normal((2, 64, 1, 60, 80))
+        m_i, m_p = rng.uniform(size=(2, 60, 80)) < density
+        assert_same_bits(mic_p2i_loss(target, pred, m_p), former_masked_l1(target, pred, m_p))
+        assert_same_bits(mic_i2p_loss(target, pred, m_i, m_p),
+                         former_masked_l1(target, pred, m_i & ~m_p))
+
+
 class TestHeatmapPeaks:
     def test_single_peak(self):
         hm = np.zeros((5, 5))

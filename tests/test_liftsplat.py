@@ -484,32 +484,35 @@ class TestBench:
     def test_removal_monotone_in_tau(self, default_k):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
         rows = bench_projection(default_k, g, [0.0, 1e-3, 1e-2, 1e-1], seed=3,
-                                c_i=4, c_d=16, h_f=8, w_f=8)
+                                c_i=4, c_d=16, h_f=8, w_f=8, uneven_bins=False)
         kept = [r["kept_ratio"] for r in rows]
         assert kept[0] == 1.0
         assert all(a >= b for a, b in zip(kept, kept[1:]))
 
     def test_huge_tau_removes_everything(self, default_k):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
-        rows = bench_projection(default_k, g, [2.0], seed=3, c_i=2, c_d=8, h_f=4, w_f=4)
+        rows = bench_projection(default_k, g, [2.0], seed=3, c_i=2, c_d=8, h_f=4, w_f=4,
+                                uneven_bins=False)
         assert rows[0]["kept_ratio"] == 0.0
 
     def test_checksum_is_tau_independent(self, default_k):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
         rows = bench_projection(default_k, g, [0.0, 1e-2], seed=5, c_i=2, c_d=8,
-                                h_f=4, w_f=4)
+                                h_f=4, w_f=4, uneven_bins=False)
         assert rows[0]["checksum"] == rows[1]["checksum"]
         again = bench_projection(default_k, g, [0.0], seed=5, c_i=2, c_d=8,
-                                 h_f=4, w_f=4)
+                                 h_f=4, w_f=4, uneven_bins=False)
         assert again[0]["checksum"] == rows[0]["checksum"]
         other_seed = bench_projection(default_k, g, [0.0], seed=6, c_i=2, c_d=8,
-                                      h_f=4, w_f=4)
+                                      h_f=4, w_f=4, uneven_bins=False)
         assert other_seed[0]["checksum"] != rows[0]["checksum"]
 
     def test_untimed_rows_are_deterministic(self, default_k):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
-        a = bench_projection(default_k, g, [0.0, 1e-3], seed=1, c_i=2, c_d=8, h_f=4, w_f=4)
-        b = bench_projection(default_k, g, [0.0, 1e-3], seed=1, c_i=2, c_d=8, h_f=4, w_f=4)
+        a = bench_projection(default_k, g, [0.0, 1e-3], seed=1, c_i=2, c_d=8, h_f=4, w_f=4,
+                             uneven_bins=False)
+        b = bench_projection(default_k, g, [0.0, 1e-3], seed=1, c_i=2, c_d=8, h_f=4, w_f=4,
+                             uneven_bins=False)
         assert a == b
         assert all(r.keys() == {"tau", "kept_ratio", "checksum"} for r in a)
 

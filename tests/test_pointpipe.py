@@ -103,6 +103,20 @@ def former_depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     return np.column_stack([x, y, z, np.ones(z.size)])
 
 
+def flatnonzero_depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> np.ndarray:
+    """The flat-index formulation this module used before: valid pixel
+    indices split by an int64 divmod, each column written in place."""
+    flat = np.flatnonzero(np.isfinite(dm.depths) & (dm.depths > 0))
+    vv, uu = np.divmod(flat, dm.width)
+    z = dm.depths.ravel()[flat]
+    points = np.empty((flat.size, 4))
+    points[:, 0] = (uu - K.cx) * z / K.fx
+    points[:, 1] = (vv - K.cy) * z / K.fy
+    points[:, 2] = z
+    points[:, 3] = 1.0
+    return points
+
+
 def former_transform_cloud(pc: PointCloud, pose: Pose) -> np.ndarray:
     """The column_stack formulation geom used before."""
     if len(pc) == 0:
@@ -124,8 +138,9 @@ def _assert_fresh_read_only(out: np.ndarray, source: np.ndarray):
     assert not np.shares_memory(out, source)
 
 
-depth_pixels = st.one_of(st.sampled_from([np.nan, 0.0, -0.0, -1.0, np.inf, -np.inf]),
-                         st.floats(1e-3, 100.0))
+invalid_pixels = st.sampled_from([np.nan, 0.0, -0.0, -1.0, np.inf, -np.inf])
+valid_pixels = st.floats(1e-3, 100.0)
+depth_pixels = st.one_of(invalid_pixels, valid_pixels)
 quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
 translations = st.tuples(*[st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0]))] * 3)
 
@@ -133,15 +148,18 @@ translations = st.tuples(*[st.one_of(st.floats(-100.0, 100.0), st.sampled_from([
 class TestFormerFormulations:
     @settings(deadline=None, max_examples=100)
     @given(h=st.integers(1, 9), w=st.integers(1, 9), data=st.data(),
-           f=st.tuples(st.floats(0.5, 1000.0), st.floats(0.5, 1000.0)))
-    def test_depthmap_to_cloud_bits(self, h, w, data, f):
-        depths = np.array(data.draw(st.lists(depth_pixels, min_size=h * w, max_size=h * w)))
+           f=st.tuples(st.floats(0.5, 1000.0), st.floats(0.5, 1000.0)),
+           pixels=st.sampled_from([depth_pixels, valid_pixels, invalid_pixels]))
+    def test_depthmap_to_cloud_bits(self, h, w, data, f, pixels):
+        # mixed, all-valid and all-invalid maps
+        depths = np.array(data.draw(st.lists(pixels, min_size=h * w, max_size=h * w)))
         cx = data.draw(st.floats(0.0, w, exclude_max=True))
         cy = data.draw(st.floats(0.0, h, exclude_max=True))
         K = CameraIntrinsics(f[0], f[1], cx, cy, w, h)
         dm = DepthMap(depths.reshape(h, w))
         cloud = depthmap_to_cloud(dm, K)
         assert cloud.points.tobytes() == former_depthmap_to_cloud(dm, K).tobytes()
+        assert cloud.points.tobytes() == flatnonzero_depthmap_to_cloud(dm, K).tobytes()
         _assert_fresh_read_only(cloud.points, dm.depths)
 
     @settings(deadline=None, max_examples=150)
@@ -174,6 +192,10 @@ class TestFormerFormulations:
         dm = DepthMap(depths)
         cloud = depthmap_to_cloud(dm, default_k)
         assert cloud.points.tobytes() == former_depthmap_to_cloud(dm, default_k).tobytes()
+        assert cloud.points.tobytes() == flatnonzero_depthmap_to_cloud(dm, default_k).tobytes()
+        full = DepthMap(np.nan_to_num(depths, nan=1.0) + 0.5)    # every pixel valid
+        assert (depthmap_to_cloud(full, default_k).points.tobytes()
+                == flatnonzero_depthmap_to_cloud(full, default_k).tobytes())
         pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3))
         moved = transform_cloud(cloud, pose)
         assert moved.points.tobytes() == former_transform_cloud(cloud, pose).tobytes()
@@ -220,6 +242,13 @@ class TestVisibilityFilter:
         pc = PointCloud([[0.0, 0.0, 5.0, 1.0], [0.0, 0.0, 9.0, 1.0]])
         out = visibility_filter(pc, default_k, tol=0.1)
         np.testing.assert_array_equal(out.points, [[0.0, 0.0, 5.0, 1.0]])
+
+    def test_tolerance_is_added_to_the_minimum_depth(self, default_k):
+        # 0.3 + 0.1 == 0.4 in float64 while 0.4 - 0.1 > 0.3: a point at
+        # the minimum plus tol survives, as the per-point oracle has it
+        pc = PointCloud([[0.0, 0.0, 0.3, 1.0], [0.0, 0.0, 0.4, 1.0]])
+        assert brute_force_visible(pc, default_k, 0.1) == [0, 1]
+        assert len(visibility_filter(pc, default_k, tol=0.1)) == 2
 
     def test_points_within_tolerance_survive(self, default_k):
         pc = PointCloud([[0.0, 0.0, 5.0, 1.0], [0.0, 0.0, 5.05, 1.0]])
@@ -306,6 +335,19 @@ class TestVisibilityFilter:
             pc = PointCloud([[0.0, 0.0, z, 1.0]])
             assert len(visibility_filter(pc, default_k, tol=0.1)) == 1
             assert unify_stats(pc, default_k, 0.1)["retained"] == 1
+
+    def test_survivors_are_a_fresh_read_only_cloud(self, default_k):
+        # cut from a checked cloud, they skip the public constructor's
+        # finiteness check and come out as it would build them
+        rng = np.random.default_rng(6)
+        pc = PointCloud(np.column_stack([rng.uniform(-5, 5, (300, 2)),
+                                         rng.uniform(1, 9, 300), rng.uniform(size=300)]))
+        for cloud, tol in ((pc, 0.1), (pc, 1e-9), (PointCloud.empty(), 0.1)):
+            retained = unify_visible(cloud, default_k, tol)[0]
+            assert type(retained) is PointCloud
+            assert retained.points.dtype == np.float64 and retained.points.shape[1:] == (4,)
+            _assert_fresh_read_only(retained.points, cloud.points)
+            assert retained.points.tobytes() == PointCloud(retained.points).points.tobytes()
 
     def test_unify_visible_is_filter_plus_stats(self, default_k):
         rng = np.random.default_rng(5)
