@@ -3,11 +3,14 @@
 Depth-bin edges follow e(i) = z_min + span * i*(i+1) / (n*(n+1)), so bin
 widths grow by the constant 2*span/(n*(n+1)) from one bin to the next:
 fine resolution near the camera, coverage far away, same cell count as a
-uniform split.  The lateral (x) axis is always uniform.
+uniform split.  The lateral (x) axis is uniform: its edges are
+x_min + i * width, the last one x_max.
 
-This module owns the cell rule: a point (x, z) lies in the linear cell
-i_z * n_x + i_x of its depth bin i_z and lateral bin i_x (``cells_of``),
-and ``cell_centers`` gives each linear cell's (x, z) midpoint.
+This module owns the cell rule.  Both axes bin by explicit edges: bin i
+holds edges[i] <= v < edges[i+1], and the upper end of the range goes to
+the last bin.  A point (x, z) lies in the linear cell i_z * n_x + i_x of
+its depth bin i_z and lateral bin i_x (``cells_of``), and
+``cell_centers`` gives each linear cell's (x, z) midpoint.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def depth_bin_centers(z_min: float, z_max: float, n_bins: int, uneven: bool) -> 
 
 @dataclass(frozen=True)
 class UnevenGridSpec:
-    """BEV grid: uniform lateral cells, explicit depth-bin edges."""
+    """BEV grid: uniform lateral cells, explicit depth-bin edges; each
+    axis keeps a slot table over its edges for ``cells_of``."""
 
     x_range: tuple
     z_range: tuple
@@ -53,8 +57,8 @@ class UnevenGridSpec:
     def __post_init__(self):
         for name in ("n_x", "n_z"):
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
             object.__setattr__(self, name, int(n))
         for name in ("x_range", "z_range"):
             pair = tuple(float(v) for v in np.ravel(getattr(self, name)))
@@ -62,7 +66,7 @@ class UnevenGridSpec:
                 raise ValueError(f"{name} must be a (lo, hi) pair")
             object.__setattr__(self, name, pair)
         edges = np.asarray(self.depth_edges, dtype=np.float64)
-        _require_finite(self.x_range, self.z_range, edges)
+        _require_finite_spans(self.x_range, self.z_range, edges)
         if edges.shape != (self.n_z + 1,):
             raise ValueError("depth_edges must have n_z + 1 entries")
         if edges[0] != self.z_range[0] or edges[-1] != self.z_range[1]:
@@ -71,7 +75,10 @@ class UnevenGridSpec:
             raise ValueError("depth_edges must be strictly increasing")
         edges.setflags(write=False)
         object.__setattr__(self, "depth_edges", edges)
-        object.__setattr__(self, "_slots", _SlotTable.build(edges))
+        lateral = self.x_range[0] + np.arange(self.n_x + 1) * self.lateral_width
+        lateral[-1] = self.x_range[1]
+        object.__setattr__(self, "_x_slots", _SlotTable.build(lateral))
+        object.__setattr__(self, "_z_slots", _SlotTable.build(edges))
 
     @property
     def lateral_width(self) -> float:
@@ -101,18 +108,18 @@ class UnevenGridSpec:
 
 
 class _SlotTable(NamedTuple):
-    """Uniform slots over [z_min, z_max] that narrow a depth lookup to the
-    few bins a slot can hold.
+    """Uniform slots over one axis's range that narrow a bin lookup to
+    the few bins a slot can hold.
 
-    ``slot_of`` is monotone in z.  So an inner edge whose own slot is
-    below a z's slot lies below z, and one whose slot is above lies above
+    ``slot_of`` is monotone in v.  So an inner edge whose own slot is
+    below a v's slot lies below v, and one whose slot is above lies above
     it: ``first_bin`` holds, per slot, the count of inner edges in lower
     slots, and only the edges that share the slot remain to compare,
     by binary lifting over ``upper`` (the inner edges, then +inf padding)
-    with ``steps`` halving down to 1.  The bound holds for any strictly
-    increasing edges, so every grid takes this one path."""
+    with ``steps`` halving down to 1.  The bound holds for any
+    non-decreasing edges, so both axes of every grid take this one path."""
 
-    z_min: float
+    lo: float
     scale: float
     first_bin: np.ndarray
     upper: np.ndarray
@@ -122,9 +129,10 @@ class _SlotTable(NamedTuple):
     def build(cls, edges: np.ndarray) -> "_SlotTable":
         inner = edges[1:-1]
         span = edges[-1] - edges[0]
-        # slots of half the narrowest bin, so an even or uneven grid
-        # shares at most one inner edge per slot
-        with np.errstate(over="ignore"):   # the narrowest bin may be subnormal
+        # slots of half the narrowest bin, so an even or uneven axis
+        # shares at most one inner edge per slot; the cap binds for a
+        # subnormal bin, or an empty one where lateral edges round together
+        with np.errstate(over="ignore", divide="ignore"):
             per_narrowest = span / np.min(np.diff(edges))
         n_slots = int(min(_MAX_SLOTS, 2 * np.ceil(per_narrowest)))
         table = cls(float(edges[0]), n_slots / span, np.empty(n_slots, np.int64), inner, ())
@@ -137,19 +145,23 @@ class _SlotTable(NamedTuple):
             steps=steps,
         )
 
-    def slot_of(self, z: np.ndarray) -> np.ndarray:
-        t = z - self.z_min
-        with np.errstate(over="ignore"):   # a huge z clips to the last slot
+    def slot_of(self, v: np.ndarray) -> np.ndarray:
+        """Slot of each v: the integer part of (v - lo) * scale, clipped to
+        the slots; NaN gives slot 0."""
+        t = v - self.lo
+        with np.errstate(over="ignore"):   # a huge v clips to the last slot
             t *= self.scale
-        return _floor_clipped(t, self.first_bin.size - 1)
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, self.first_bin.size - 1, out=t)
+        return t.astype(np.int64)
 
-
-def _floor_clipped(t: np.ndarray, top: int) -> np.ndarray:
-    """floor(t) clipped to [0, top] as int64; NaN gives 0.  Clips t in
-    place."""
-    np.fmax(t, 0.0, out=t)
-    np.fmin(t, top, out=t)
-    return t.astype(np.int64)
+    def bins_of(self, v: np.ndarray) -> np.ndarray:
+        """Bin of each v in [edges[0], edges[-1]]: i with edges[i] <= v <
+        edges[i+1], the last bin for v == edges[-1]; any bin for other v."""
+        idx = self.first_bin[self.slot_of(v)]
+        for step in self.steps:   # a product, not a masked add: no branch per v
+            idx += step * (v >= self.upper[step - 1:][idx])
+        return idx
 
 
 def _in_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -159,9 +171,14 @@ def _in_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return ok
 
 
-def _require_finite(*values) -> None:
-    if not all(np.all(np.isfinite(v)) for v in values):
+def _require_finite_spans(x_range, z_range, edges=()) -> None:
+    """Finite ranges and edges, and each range increasing with a span
+    hi - lo that float64 holds, so that no edge is inf or NaN."""
+    if not all(np.all(np.isfinite(v)) for v in (x_range, z_range, edges)):
         raise ValueError("x_range, z_range and depth_edges must be finite")
+    for name, (lo, hi) in (("x_range", x_range), ("z_range", z_range)):
+        if not 0.0 < hi - lo < np.inf:
+            raise ValueError(f"{name} must have lo < hi and a finite span hi - lo")
 
 
 def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> UnevenGridSpec:
@@ -170,54 +187,15 @@ def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> Une
         raise ValueError("cell counts must be >= 1")
     x_lo, x_hi = (float(v) for v in x_range)
     z_lo, z_hi = (float(v) for v in z_range)
-    _require_finite(x_range, z_range)   # before the edges: inf * 0 is nan
-    if not (x_hi > x_lo and z_hi > z_lo):
-        raise ValueError("ranges must be non-degenerate")
+    _require_finite_spans((x_lo, x_hi), (z_lo, z_hi))   # before the edges: inf * 0 is nan
     edges = depth_edges(z_lo, z_hi, n_z, uneven)
     return UnevenGridSpec((x_lo, x_hi), (z_lo, z_hi), n_x, n_z, edges)
 
 
-def _depth_index(z: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
-    """Depth bin of each z in [z_min, z_max]: i with edges[i] <= z <
-    edges[i+1], the last bin for z == z_max; any bin for other z."""
-    table = g._slots
-    idx = table.first_bin[table.slot_of(z)]
-    for step in table.steps:
-        np.add(idx, step, out=idx, where=z >= table.upper[step - 1:][idx])
-    return idx
-
-
-def _lateral_index(x: np.ndarray, g: UnevenGridSpec) -> np.ndarray:
-    """Uniform lateral bin floor((x - x_min) / lateral_width) of each x in
-    float64, capped at n_x - 1 so that x == x_max maps to the last bin;
-    any bin for x outside [x_min, x_max]."""
-    t = x - g.x_range[0]
-    with np.errstate(over="ignore"):   # a huge x clips to the last bin
-        t /= g.lateral_width
-    return _floor_clipped(t, g.n_x - 1)
-
-
-def depth_bins_of(z, g: UnevenGridSpec) -> np.ndarray:
-    """Depth bin of each z: i with edges[i] <= z < edges[i+1]; z == z_max
-    maps to the last bin; OUT_OF_RANGE (-1) outside [z_min, z_max] or for a
-    non-finite z (a normal path, not an error).  Accepts scalars."""
-    z = np.asarray(z, dtype=np.float64, order="C")
-    shape, z = z.shape, z.reshape(-1)
-    return np.where(_in_range(z, *g.z_range), _depth_index(z, g), OUT_OF_RANGE).reshape(shape)
-
-
-def lateral_bins_of(x, g: UnevenGridSpec) -> np.ndarray:
-    """Uniform lateral bin of each x (``_lateral_index``); OUT_OF_RANGE
-    outside [x_min, x_max] or for a non-finite x (a normal path, not an
-    error).  Accepts scalars."""
-    x = np.asarray(x, dtype=np.float64, order="C")
-    shape, x = x.shape, x.reshape(-1)
-    return np.where(_in_range(x, *g.x_range), _lateral_index(x, g), OUT_OF_RANGE).reshape(shape)
-
-
 def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
     """Linear BEV cell i_z * n_x + i_x of each point (x, z), or OUT_OF_RANGE
-    where either bin is off the grid; x and z share one shape.
+    where either bin is off the grid or the value is not finite (a normal
+    path, not an error); x and z share one shape, scalars included.
 
     The two bin indices are combined in place, and one in-range mask
     covering both axes marks the off-grid points."""
@@ -228,9 +206,9 @@ def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
     off_grid = _in_range(z, *g.z_range)
     off_grid &= _in_range(x, *g.x_range)
     np.logical_not(off_grid, out=off_grid)
-    i_x = _lateral_index(x, g)
+    i_x = g._x_slots.bins_of(x)
     del x                     # a copy, freed before the depth lookup's temporaries
-    cells = _depth_index(z, g)
+    cells = g._z_slots.bins_of(z)
     cells *= g.n_x
     cells += i_x
     np.copyto(cells, OUT_OF_RANGE, where=off_grid)

@@ -154,7 +154,10 @@ def _masked_l1(target: np.ndarray, pred: np.ndarray, mask: np.ndarray):
 
     Only masked cells are subtracted.  Their |d| is scattered into a
     zero array of the features' shape before the sum, so numpy's pairwise
-    sum groups the same values as over a dense masked difference.
+    sum groups the same values as over a dense masked difference.  A NaN
+    or inf masked value, or a difference that overflows, makes that sum
+    non-finite, and the loss is then a ValueError; values off the mask
+    are never read.
     """
     if target.shape != pred.shape:
         raise ValueError(f"feature shapes differ: {target.shape} vs {pred.shape}")
@@ -166,10 +169,14 @@ def _masked_l1(target: np.ndarray, pred: np.ndarray, mask: np.ndarray):
     if count == 0:
         return 0.0, np.zeros_like(pred)
     pred_2d = pred.reshape(n_lead, mask.size)
-    diff = pred_2d[:, cells] - target.reshape(n_lead, mask.size)[:, cells]
-    dense = np.zeros_like(pred_2d)
-    dense[:, cells] = np.abs(diff)
-    loss = float(np.sum(dense.reshape(pred.shape)) / count)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        diff = pred_2d[:, cells] - target.reshape(n_lead, mask.size)[:, cells]
+        dense = np.zeros_like(pred_2d)
+        dense[:, cells] = np.abs(diff)
+        loss = float(np.sum(dense.reshape(pred.shape)) / count)
+    if not np.isfinite(loss):
+        raise ValueError("MIC loss is not finite: a masked cell holds a NaN or inf "
+                         "feature, or |target - pred| overflows")
     # the gradient overwrites exactly the cells the loss used
     np.sign(diff, out=diff)
     diff /= count
@@ -229,7 +236,8 @@ def finite_difference_grad(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 @dataclass(frozen=True)
 class ProposalAttributes:
     """First-stage head outputs: heatmap (H, W) in [0, 1], pixel offsets
-    (H, W, 2) ordered (du, dv), and per-pixel depth (H, W) in meters."""
+    (H, W, 2) ordered (du, dv), and per-pixel depth (H, W) in meters; every
+    value finite."""
 
     heatmap: np.ndarray
     offset: np.ndarray
@@ -245,6 +253,9 @@ class ProposalAttributes:
             raise ValueError("offset/depth shapes must match the heatmap")
         if not np.all(np.isfinite(hm)) or np.any(hm < 0) or np.any(hm > 1):
             raise ValueError("heatmap values must be finite and in [0, 1]")
+        for name, values in (("offset", off), ("depth", dep)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} values must be finite")
         object.__setattr__(self, "heatmap", hm)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "depth", dep)

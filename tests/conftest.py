@@ -21,22 +21,23 @@ class CellOracle:
     grid module's numpy code, applying the documented boundary rules:
     bin i holds edges[i] <= v < edges[i+1], v == the upper end of the range
     goes to the last bin, and a value outside the range, NaN or infinite
-    is -1.  Depth bins bisect the grid's explicit depth edges; lateral bins
-    bisect x's float64 offset from x_min in cell widths among the integer
-    cell boundaries, the uniform axis's rule."""
+    is -1.  Both axes bisect explicit edges: depth bins the grid's depth
+    edges, lateral bins the edges x_min + i * width with the last one
+    x_max."""
+
+    @staticmethod
+    def _bin(v, edges) -> int:
+        v = float(v)
+        if not (math.isfinite(v) and edges[0] <= v <= edges[-1]):
+            return -1
+        return min(bisect.bisect_right(edges, v) - 1, len(edges) - 2)
 
     def depth_bin(self, z, g) -> int:
-        z, edges = float(z), g.depth_edges.tolist()
-        if not (math.isfinite(z) and edges[0] <= z <= edges[-1]):
-            return -1
-        return min(bisect.bisect_right(edges, z) - 1, g.n_z - 1)
+        return self._bin(z, g.depth_edges.tolist())
 
     def lateral_bin(self, x, g) -> int:
-        x, (lo, hi) = float(x), g.x_range
-        if not (math.isfinite(x) and lo <= x <= hi):
-            return -1
-        offset = (x - lo) / g.lateral_width
-        return min(bisect.bisect_right(range(g.n_x + 1), offset) - 1, g.n_x - 1)
+        lo, hi = g.x_range
+        return self._bin(x, [lo + i * g.lateral_width for i in range(g.n_x)] + [hi])
 
     def cell(self, x, z, g) -> int:
         i_z, i_x = self.depth_bin(z, g), self.lateral_bin(x, g)

@@ -699,6 +699,18 @@ class TestConfig:
         assert err.splitlines() == ["bevkit: x_range, z_range and depth_edges must be finite"]
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("key", ["x_range", "z_range"])
+    def test_grid_range_whose_span_overflows_is_a_data_error(self, capsys, tmp_path, key):
+        # finite ends, but hi - lo is inf: no column of infinite width
+        cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(json.dumps({key: [-1e308, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no overflow warning on the way
+            code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"bevkit: {key} must have lo < hi and a finite span hi - lo"]
+        assert stdout == "" and not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"no_such_option": 1}')

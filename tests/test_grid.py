@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,6 @@ from bevkit.grid import (
     cell_centers,
     cells_of,
     depth_bin_centers,
-    depth_bins_of,
-    lateral_bins_of,
 )
 
 
@@ -26,6 +25,28 @@ def exact_edge(i: int, n: int, z_min=0, z_max=80) -> Fraction:
 @pytest.fixture
 def reference_grid() -> UnevenGridSpec:
     return build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80)
+
+
+@pytest.fixture
+def reference_column() -> UnevenGridSpec:
+    """The reference grid's depth bins in one column."""
+    return build_grid((-30.0, 30.0), (0.0, 80.0), 1, 80)
+
+
+def column_cells(z, g: UnevenGridSpec) -> np.ndarray:
+    """Depth bins through ``cells_of``: on a one-column grid the cell of
+    (0, z) is z's depth bin.  Keeps the shape of z, scalars included."""
+    assert g.n_x == 1 and g.x_range[0] <= 0.0 <= g.x_range[1]
+    z = np.asarray(z, dtype=np.float64)
+    return cells_of(np.zeros_like(z), z, g)
+
+
+def row_cells(x, g: UnevenGridSpec) -> np.ndarray:
+    """Lateral bins through ``cells_of``: on a one-row grid the cell of
+    (x, z_min) is x's lateral bin."""
+    assert g.n_z == 1
+    x = np.asarray(x, dtype=np.float64)
+    return cells_of(x, np.full_like(x, g.z_range[0]), g)
 
 
 class TestBuildGrid:
@@ -82,25 +103,25 @@ class TestBuildGrid:
 
 
 class TestDepthBinOf:
-    def test_lower_edge(self, reference_grid):
-        assert depth_bins_of(0.0, reference_grid) == 0
+    def test_lower_edge(self, reference_column):
+        assert column_cells(0.0, reference_column) == 0
 
-    def test_last_bin(self, reference_grid):
-        np.testing.assert_array_equal(depth_bins_of([79.999, 80.0], reference_grid), [79, 79])
+    def test_last_bin(self, reference_column):
+        np.testing.assert_array_equal(column_cells([79.999, 80.0], reference_column), [79, 79])
 
-    def test_interior_value_vs_enumerated_edges(self, reference_grid):
+    def test_interior_value_vs_enumerated_edges(self, reference_column):
         # oracle: enumerate the exact edges around z = 1.0
         assert float(exact_edge(8, 80)) <= 1.0 < float(exact_edge(9, 80))
-        assert depth_bins_of(1.0, reference_grid) == 8
+        assert column_cells(1.0, reference_column) == 8
 
-    def test_out_of_range(self, reference_grid):
+    def test_out_of_range(self, reference_column):
         np.testing.assert_array_equal(
-            depth_bins_of([-0.1, 80.1, np.nan], reference_grid), [OUT_OF_RANGE] * 3)
+            column_cells([-0.1, 80.1, np.nan], reference_column), [OUT_OF_RANGE] * 3)
 
-    def test_matches_linear_scan_oracle(self, reference_grid):
+    def test_matches_linear_scan_oracle(self, reference_column):
         rng = np.random.default_rng(42)
         zs = rng.uniform(-5.0, 85.0, 100_000)
-        edges = reference_grid.depth_edges
+        edges = reference_column.depth_edges
 
         def linear_scan(z: float) -> int:
             if z < edges[0] or z > edges[-1]:
@@ -112,24 +133,24 @@ class TestDepthBinOf:
                     return i
             raise AssertionError("unreachable")
 
-        got = depth_bins_of(zs, reference_grid)
+        got = column_cells(zs, reference_column)
         # a scalar argument takes the same path as an array of one
         for z in zs[:500]:
-            assert depth_bins_of(float(z), reference_grid) == linear_scan(float(z))
+            assert column_cells(float(z), reference_column) == linear_scan(float(z))
         expected = np.array([linear_scan(float(z)) for z in zs])
         np.testing.assert_array_equal(got, expected)
 
-    def test_partition_no_gaps_no_overlap(self, reference_grid):
+    def test_partition_no_gaps_no_overlap(self, reference_column):
         # every edge belongs to exactly the bin it opens
         np.testing.assert_array_equal(
-            depth_bins_of(reference_grid.depth_edges[:-1], reference_grid),
-            np.arange(reference_grid.n_z))
+            column_cells(reference_column.depth_edges[:-1], reference_column),
+            np.arange(reference_column.n_z))
 
     @settings(deadline=None, max_examples=200)
     @given(z=st.floats(0.0, 80.0))
     def test_bin_brackets_value(self, z):
-        g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
-        b = depth_bins_of(z, g)
+        g = build_grid((-30, 30), (0.0, 80.0), 1, 80)
+        b = column_cells(z, g)
         assert 0 <= b < g.n_z
         assert g.depth_edges[b] <= z
         assert z <= g.depth_edges[b + 1]
@@ -160,9 +181,26 @@ class TestCellCenter:
 
 class TestLateralBins:
     def test_boundaries(self):
-        g = build_grid((-1.0, 1.0), (0.0, 10.0), 4, 5)
+        g = build_grid((-1.0, 1.0), (0.0, 10.0), 4, 1)
         np.testing.assert_array_equal(
-            lateral_bins_of([-1.0, 1.0, -1.0001, 0.49], g), [0, 3, OUT_OF_RANGE, 2])
+            row_cells([-1.0, 1.0, -1.0001, 0.49], g), [0, 3, OUT_OF_RANGE, 2])
+
+    def test_value_one_ulp_below_an_edge_stays_below_it(self, reference_grid):
+        # -30 + 17 * 1.0 = -13.0 opens column 17; the float64 floor of
+        # (x + 30) / 1.0 rounded this x up into it
+        x = -13.000000000000002
+        assert x == np.nextafter(-13.0, -np.inf)
+        assert cells_of(x, 0.0, reference_grid) == 16
+        assert cells_of(-13.0, 0.0, reference_grid) == 17
+
+    def test_edges_that_round_together_match_the_oracle(self, cell_oracle):
+        # widths below float64 spacing at 1e16: several edges coincide
+        g = build_grid((1e16, 1e16 + 8.0), (0.0, 1.0), 11, 1)
+        lateral = g.x_range[0] + np.arange(g.n_x + 1) * g.lateral_width
+        assert np.any(np.diff(lateral) == 0)
+        xs = _near(np.concatenate([lateral, g.x_range]))
+        np.testing.assert_array_equal(row_cells(xs, g),
+                                      [cell_oracle.lateral_bin(x, g) for x in xs])
 
 
 def _near(values):
@@ -172,9 +210,10 @@ def _near(values):
 
 
 def former_cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
-    """The form ``cells_of`` had before: each axis binned on its own copy
-    of its column, with its own in-range mask (an isfinite test among
-    them), then the two bins combined by a third select."""
+    """The form ``cells_of`` had before its fusion: each axis binned on its
+    own copy of its column, with its own in-range mask (an isfinite test
+    among them), then the two bins combined by a third select.  x bisects
+    the explicit lateral edges x_min + i * width, the last one x_max."""
     def in_range(v, lo, hi):
         return (v >= lo) & (v <= hi) & np.isfinite(v)
 
@@ -182,14 +221,16 @@ def former_cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
         return np.fmin(np.fmax(t, 0.0), top).astype(np.int64)
 
     z = np.asarray(z, dtype=np.float64, order="C")
-    table = g._slots
-    i_z = table.first_bin[floor_clipped((z - table.z_min) * table.scale,
+    table = g._z_slots
+    i_z = table.first_bin[floor_clipped((z - table.lo) * table.scale,
                                         table.first_bin.size - 1)]
     for step in table.steps:
         np.add(i_z, step, out=i_z, where=z >= table.upper[step - 1:][i_z])
     i_z = np.where(in_range(z, *g.z_range), i_z, OUT_OF_RANGE)
     x = np.asarray(x, dtype=np.float64, order="C")
-    i_x = floor_clipped((x - g.x_range[0]) / g.lateral_width, g.n_x - 1)
+    lateral = g.x_range[0] + np.arange(g.n_x + 1) * g.lateral_width
+    lateral[-1] = g.x_range[1]
+    i_x = np.minimum(np.searchsorted(lateral, x, side="right") - 1, g.n_x - 1)
     i_x = np.where(in_range(x, *g.x_range), i_x, OUT_OF_RANGE)
     return np.where((i_z >= 0) & (i_x >= 0), i_z * g.n_x + i_x, OUT_OF_RANGE)
 
@@ -267,8 +308,8 @@ def _spec(z_lo: float, span: float, inner) -> UnevenGridSpec:
 
 
 class TestArbitraryEdges:
-    """``depth_bins_of``'s slot table against the bisect oracle on edges of
-    any spacing, built directly and read back from JSON."""
+    """Depth bins through ``cells_of`` against the bisect oracle on edges
+    of any spacing, built directly and read back from JSON."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -287,34 +328,34 @@ class TestArbitraryEdges:
             inner.append(z)
         g = _spec(z_lo, span, inner)
         if tiny:   # three inner edges share the first slot: two lifting rounds
-            assert len(g._slots.steps) > 1
+            assert len(g._z_slots.steps) > 1
         rng = np.random.default_rng(len(inner))
         zs = np.concatenate([_near(g.depth_edges), [np.nan, np.inf, -np.inf], extra,
                              rng.uniform(z_lo - 1.0, z_lo + span + 1.0, 200)])
         for spec in (g, UnevenGridSpec.from_json(g.to_json())):
             expected = [cell_oracle.depth_bin(z, spec) for z in zs]
-            np.testing.assert_array_equal(depth_bins_of(zs, spec), expected)
+            np.testing.assert_array_equal(column_cells(zs, spec), expected)
             np.testing.assert_array_equal(cells_of(np.zeros_like(zs), zs, spec),
                                           [cell_oracle.cell(0.0, z, spec) for z in zs])
             for z, want in list(zip(zs, expected))[::7]:
                 for arg in (float(z), np.float64(z), np.array(z)):
-                    got = depth_bins_of(arg, spec)
+                    got = column_cells(arg, spec)
                     assert got.shape == () and got == want
 
     def test_even_and_uneven_grids_match_searchsorted(self):
         # the rule the slot table replaced, on 200k unsorted z
         zs = np.random.default_rng(11).uniform(-1.0, 81.0, 200_000)
         for uneven in (False, True):
-            g = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80, uneven)
+            g = build_grid((-30.0, 30.0), (0.0, 80.0), 1, 80, uneven)
             former = np.searchsorted(g.depth_edges, zs, side="right") - 1
             former = np.where(zs == 80.0, 79, former)
             former = np.where((zs < 0.0) | (zs > 80.0), OUT_OF_RANGE, former)
-            np.testing.assert_array_equal(depth_bins_of(zs, g), former)
+            np.testing.assert_array_equal(column_cells(zs, g), former)
 
     def test_single_bin(self, cell_oracle):
         g = _spec(2.0, 3.0, [])
         zs = _near([2.0, 3.5, 5.0])
-        np.testing.assert_array_equal(depth_bins_of(zs, g),
+        np.testing.assert_array_equal(column_cells(zs, g),
                                       [cell_oracle.depth_bin(z, g) for z in zs])
 
 
@@ -366,6 +407,32 @@ class TestSerialization:
         if key != "depth_edges":
             with pytest.raises(ValueError, match=message):
                 build_grid(d["x_range"], d["z_range"], d["n_x"], d["n_z"])
+
+    @pytest.mark.parametrize("key, value, edges", [
+        ("x_range", [-1e308, 1e308], [0.0, 5.0, 20.0, 80.0]),
+        ("x_range", [30.0, -30.0], [0.0, 5.0, 20.0, 80.0]),
+        ("z_range", [-1e308, 1e308], [-1e308, 0.0, 1.0, 1e308]),
+    ])
+    def test_spans_must_be_positive_and_finite(self, key, value, edges):
+        d = {"x_range": [-30.0, 30.0], "z_range": [0.0, 80.0], "n_x": 4, "n_z": 3,
+             "depth_edges": edges}
+        d[key] = value
+        message = f"{key} must have lo < hi and a finite span hi - lo"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused before any edge overflows
+            with pytest.raises(ValueError, match=message):
+                UnevenGridSpec.from_json(json.dumps(d))
+            with pytest.raises(ValueError, match=message):
+                build_grid(d["x_range"], d["z_range"], d["n_x"], d["n_z"])
+
+    @pytest.mark.parametrize("name", ["n_x", "n_z"])
+    def test_cell_counts_must_be_positive(self, reference_grid, name):
+        d = json.loads(reference_grid.to_json())
+        d[name] = 0
+        if name == "n_z":
+            d["depth_edges"] = [0.0]
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            UnevenGridSpec.from_json(json.dumps(d))
 
 
 def test_depth_bin_centers_are_interval_midpoints():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,52 @@ def assert_matches_oracle(loss, grad, target, pred, mask):
     assert not grad[..., ~mask].any()
 
 
+def mic_loss(kind, stopped, operand, mask):
+    """One MIC loss over ``mask``: p2i directly, i2p with no point cell."""
+    if kind == "p2i":
+        return mic_p2i_loss(stopped, operand, mask)
+    return mic_i2p_loss(stopped, operand, mask, np.zeros_like(mask))
+
+
+class TestMicNonFinite:
+    """A NaN or inf on a masked cell of either operand, or a masked
+    difference that overflows, is refused; values off the mask are never
+    read."""
+
+    MASK = np.array([True, False, True])
+
+    @pytest.mark.parametrize("kind", ["p2i", "i2p"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["stopped", "operand"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_masked_cell_is_refused(self, kind, which, bad):
+        feats = [np.array([[1.0, 2.0, 3.0]]), np.array([[0.5, 2.5, 3.0]])]
+        feats[which][0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="MIC loss is not finite"):
+                mic_loss(kind, *feats, self.MASK)
+
+    @pytest.mark.parametrize("kind", ["p2i", "i2p"])
+    def test_overflowing_difference_is_refused(self, kind):
+        stopped, operand = np.array([[-1e308, 0.0, 0.0]]), np.array([[1e308, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="MIC loss is not finite"):
+                mic_loss(kind, stopped, operand, self.MASK)
+
+    @pytest.mark.parametrize("kind", ["p2i", "i2p"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["stopped", "operand"])
+    def test_nan_off_the_mask_is_not_read(self, kind, which):
+        feats = [np.array([[4.0, 2.0, 3.0]]), np.array([[1.0, 2.5, 3.5]])]
+        loss, grad = mic_loss(kind, *feats, self.MASK)
+        assert loss == 1.75
+        assert grad.tolist() == [[-0.5, 0.0, 0.5]]
+        feats[which][0, 1] = np.nan
+        nan_loss, nan_grad = mic_loss(kind, *feats, self.MASK)
+        assert np.float64(nan_loss).tobytes() == np.float64(loss).tobytes()
+        assert nan_grad.tobytes() == grad.tobytes()
+
+
 class TestMicProperties:
     @given(mic_inputs(1))
     @settings(deadline=None, max_examples=200)
@@ -489,6 +536,16 @@ class TestDecodeProposals:
         attrs = ProposalAttributes(hm, np.zeros((8, 8, 2)), np.zeros((8, 8)))
         # depth 0 at the peak: nothing decodable
         assert all(p.confidence != 0.9 for p in decode_proposals(attrs, default_k, m=1))
+
+    @pytest.mark.parametrize("field", ["offset", "depth"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_attributes_refused(self, field, bad):
+        # a proposal centred at nan or inf is never decoded
+        attrs = {"heatmap": np.zeros((4, 4)), "offset": np.zeros((4, 4, 2)),
+                 "depth": np.ones((4, 4))}
+        attrs[field][1, 2] = bad
+        with pytest.raises(ValueError, match=f"{field} values must be finite"):
+            ProposalAttributes(**attrs)
 
     def test_m_validated(self, default_k):
         attrs = ProposalAttributes(np.zeros((4, 4)), np.zeros((4, 4, 2)), np.ones((4, 4)))

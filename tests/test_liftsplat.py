@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bevkit.config import Config
 from bevkit.geom import CameraIntrinsics, FeatureMap, unproject_pixel
-from bevkit.grid import build_grid, depth_bin_centers, depth_bins_of, lateral_bins_of
+from bevkit.grid import build_grid, cells_of, depth_bin_centers
 from bevkit.liftsplat import (
     DepthDistribution,
     SparseProjection,
@@ -51,9 +51,9 @@ def bincount_splat(f_i, sp, K, g, reduce="sum", uneven_bins=False):
     centers = depth_bin_centers(g.z_range[0], g.z_range[1], sp.source_shape[0], uneven_bins)
     z = centers[sp.bins]
     x = ((sp.pixels % w).astype(np.float64) - K.cx) * z / K.fx
-    i_z, i_x = depth_bins_of(z, g), lateral_bins_of(x, g)
-    valid = (i_z >= 0) & (i_x >= 0)
-    cells = (i_z * g.n_x + i_x)[valid]
+    cells = cells_of(x, z, g)
+    valid = cells >= 0
+    cells = cells[valid]
     pixels, weights = sp.pixels[valid], sp.weights[valid]
     feats2d = f_i.data.reshape(c_i, h * w)
     out = np.empty((c_i, g.n_cells))
