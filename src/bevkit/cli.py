@@ -112,7 +112,7 @@ def _cmd_project(args, cfg: Config) -> int:
 
 
 def _cmd_bench(args, cfg: Config) -> int:
-    for flag in ("hf", "wf", "cd"):
+    for flag in ("hf", "wf", "cd", "ci"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be a positive size, got {getattr(args, flag)}")
     taus = args.tau if args.tau else [0.0, 1e-3, 1e-2, 1e-1]

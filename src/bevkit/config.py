@@ -42,8 +42,8 @@ class Config:
             object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError("grid resolution must be >= 1")
-        if self.tau < 0 or self.epsilon < 0:
-            raise ValueError("tau and epsilon must be non-negative")
+        if not (self.tau >= 0 and self.epsilon >= 0):   # NaN fails too
+            raise ValueError("tau and epsilon must be non-negative, not NaN")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if self.m_proposals < 1:

@@ -25,6 +25,7 @@ from .io import json_array, json_value
 
 OUT_OF_RANGE = -1
 _MAX_SLOTS = 1 << 16
+_MAX_SCALE = float(np.finfo(np.float64).max)
 
 
 def depth_edges(z_min: float, z_max: float, n_bins: int, uneven: bool) -> np.ndarray:
@@ -131,11 +132,14 @@ class _SlotTable(NamedTuple):
         span = edges[-1] - edges[0]
         # slots of half the narrowest bin, so an even or uneven axis
         # shares at most one inner edge per slot; the cap binds for a
-        # subnormal bin, or an empty one where lateral edges round together
+        # subnormal bin, or an empty one where lateral edges round together;
+        # a subnormal span would overflow the scale, which stops at the
+        # largest float so that slot_of never multiplies 0 by inf
         with np.errstate(over="ignore", divide="ignore"):
             per_narrowest = span / np.min(np.diff(edges))
-        n_slots = int(min(_MAX_SLOTS, 2 * np.ceil(per_narrowest)))
-        table = cls(float(edges[0]), n_slots / span, np.empty(n_slots, np.int64), inner, ())
+            n_slots = int(min(_MAX_SLOTS, 2 * np.ceil(per_narrowest)))
+            scale = min(n_slots / span, _MAX_SCALE)
+        table = cls(float(edges[0]), scale, np.empty(n_slots, np.int64), inner, ())
         slots = table.slot_of(inner)
         straddle = int(np.bincount(slots).max()) if slots.size else 0
         steps = tuple(1 << k for k in reversed(range(straddle.bit_length())))

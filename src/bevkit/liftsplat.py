@@ -13,7 +13,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .geom import CameraIntrinsics, FeatureMap
 from .grid import UnevenGridSpec, cells_of, depth_bin_centers
@@ -95,8 +94,8 @@ def sparse_prune(f_d: DepthDistribution, tau: float) -> SparseProjection:
     tau = 0 keeps everything, making the pruned splat bit-identical to
     the dense one.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not tau >= 0:
+        raise ValueError("tau must be non-negative, not NaN")
     c_d, h, w = f_d.probs.shape
     probs = f_d.probs.reshape(c_d, h * w)
     # flat indices into the (pixel, bin) transpose enumerate pixel-major,
@@ -139,6 +138,8 @@ def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
     starting from zero, so the output is bit-reproducible; off-grid entries
     are dropped and counted.
     """
+    import scipy.sparse  # loaded on first use: import bevkit stays scipy-free
+
     if reduce not in ("sum", "mean"):
         raise ValueError("reduce must be 'sum' or 'mean'")
     c_i, d, h, w = f_i.shape
@@ -204,8 +205,8 @@ def bench_projection(K: CameraIntrinsics, g: UnevenGridSpec, taus, seed: int,
     accident.
     """
     taus = [float(t) for t in taus]
-    if any(t < 0 for t in taus):
-        raise ValueError("tau must be non-negative")
+    if not all(t >= 0 for t in taus):
+        raise ValueError("tau must be non-negative, not NaN")
     f_i, f_d = synth_projection_inputs(seed, c_i, c_d, h_f, w_f)
     dense = splat_to_bev(f_i, sparse_prune(f_d, 0.0), K, g, uneven_bins=uneven_bins)
     checksum = hashlib.sha256(dense.bev.data.tobytes()).hexdigest()[:16]

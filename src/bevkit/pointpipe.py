@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .geom import CameraIntrinsics, PointCloud, _project
 from .grid import UnevenGridSpec, cell_centers, cells_of
@@ -157,6 +156,8 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     Pillars follow ascending cell order; each sums its points in input
     order.
     """
+    import scipy.sparse  # loaded on first use: import bevkit stays scipy-free
+
     n = len(pc)
     cells = cells_of(pc.xyz[:, 0], pc.xyz[:, 2], g)
     cells[cells < 0] = g.n_cells     # off-grid rows go to one dump bin
@@ -194,8 +195,8 @@ def occupancy_mask(pt: PillarTensor, g: UnevenGridSpec) -> BevMask:
 
 def image_confidence_mask(confidence: np.ndarray, eps: float = 5e-4) -> BevMask:
     """Image-branch BEV mask: cells whose confidence strictly exceeds eps."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not eps >= 0:
+        raise ValueError("eps must be non-negative, not NaN")
     conf = np.asarray(confidence, dtype=np.float64)
     if conf.ndim != 2:
         raise ValueError("confidence field must be 2-D (n_z, n_x)")

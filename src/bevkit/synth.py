@@ -48,6 +48,8 @@ class SceneSpec:
             raise ValueError(f"regime must be one of {sorted(REGIME_DEPTH)}")
         if self.n_objects < 1:
             raise ValueError("need at least one object")
+        if self.n_depth_bins < 1:
+            raise ValueError(f"need at least one depth bin, got {self.n_depth_bins}")
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,15 @@ class TestSynthAndUnify:
         assert (out / "depth.tnsr").read_bytes() == ref.read_bytes()
         assert (out / "depth.tnsr").read_bytes() != (default / "depth.tnsr").read_bytes()
 
+    def test_synth_refuses_zero_depth_bins(self, capsys, tmp_path):
+        out = tmp_path / "scene"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused before any edge is computed
+            code, stdout, err = run(capsys, "synth", "--depth-bins", "0", "--out-dir", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: need at least one depth bin, got 0"]
+        assert stdout == "" and not out.exists()
+
     def test_unify_accepts_synth_cloud(self, capsys, scene_dir, tmp_path):
         out = tmp_path / "visible.mmpc"
         stats = tmp_path / "stats.json"
@@ -638,13 +647,21 @@ class TestBenchDeterminism:
         assert checksums[False] == checksums[None] == "cdbaf4d2a31bba95"
         assert checksums[True] != checksums[False]
 
-    @pytest.mark.parametrize("flag", ["--hf", "--wf", "--cd"])
+    @pytest.mark.parametrize("flag", ["--hf", "--wf", "--cd", "--ci"])
     def test_zero_size_is_named(self, capsys, tmp_path, flag):
         out = tmp_path / "o.csv"
         code, _, err = run(capsys, "bench", flag, "0", "--out", str(out))
         assert code == 2
         assert err.strip().splitlines() == [f"bevkit: {flag} must be a positive size, got 0"]
         assert not out.exists()
+
+    def test_nan_tau_is_a_data_error(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(capsys, "bench", "--tau", "1e-3", "--tau", "nan",
+                                "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: tau must be non-negative, not NaN"]
+        assert stdout == "" and not out.exists()
 
     def test_backend_flag_is_gone(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
@@ -710,6 +727,25 @@ class TestConfig:
         assert code == 2
         assert err.splitlines() == [f"bevkit: {key} must have lo < hi and a finite span hi - lo"]
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("key", ["tau", "epsilon"])
+    def test_nan_threshold_is_a_data_error(self, capsys, tmp_path, key):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(f'{{"{key}": NaN}}')
+        code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: tau and epsilon must be non-negative, not NaN"]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("key", ["x_range", "z_range"])
+    def test_grid_range_with_subnormal_span_is_valid(self, capsys, tmp_path, key):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(json.dumps({key: [0.0, 1e-310]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no overflow in the slot scale
+            code, _, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
+        assert code == 0 and err == ""
+        assert json.loads(out.read_text())[key] == [0.0, 1e-310]
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,4 @@
 import json
-import os
-import subprocess
 import sys
 from itertools import permutations
 from pathlib import Path
@@ -385,17 +383,6 @@ class TestSharedFacePlanes:
         b = Box3D(a.center + a.rotation @ [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], a.rotation)
         assert iou3d(a, b) == pytest.approx(0.125, abs=1e-15)
         assert iou3d(a, a) == 1.0
-
-
-def test_import_leaves_qhull_out():
-    # qhull is only the tests' oracle; importing bevkit must not load it
-    code = "import sys, bevkit; print('scipy.spatial' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
 
 
 class TestPairIous:

@@ -291,6 +291,28 @@ class TestCellsOf:
             cells_of([0.0, 31.0, 0.0, np.nan], [81.0, 1.0, -np.inf, 1.0], reference_grid),
             [OUT_OF_RANGE] * 4)
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_subnormal_span_bins_without_warnings(self, cell_oracle, axis, n):
+        # n_slots / 1e-310 overflows: the scale stops at the largest float,
+        # so a value at the range's low end is 0 * scale = 0, not 0 * inf
+        tiny, unit = (0.0, 1e-310), (0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if axis == "x":
+                g = build_grid(tiny, unit, n, 1)
+                edges = g.x_range[0] + np.arange(n + 1) * g.lateral_width
+            else:
+                g = build_grid(unit, tiny, 1, n)
+                edges = g.depth_edges
+            probes = np.concatenate([_near(edges), [np.nan, np.inf, 0.5, 1.0]])
+            others = np.full_like(probes, 0.5 if axis == "x" else 0.0)
+            x, z = (probes, others) if axis == "x" else (others, probes)
+            cells = cells_of(x, z, g)
+        assert getattr(g, f"_{axis}_slots").scale == np.finfo(np.float64).max
+        np.testing.assert_array_equal(
+            cells, [cell_oracle.cell(xi, zi, g) for xi, zi in zip(x, z)])
+
     def test_centers_land_in_their_own_cells(self, reference_grid):
         cells = np.arange(reference_grid.n_cells)
         np.testing.assert_array_equal(cells_of(*cell_centers(cells, reference_grid),

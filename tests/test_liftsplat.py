@@ -150,6 +150,12 @@ class TestSparsePrune:
         with pytest.raises(ValueError):
             sparse_prune(f_d, -1e-9)
 
+    def test_nan_tau_raises(self):
+        # probs >= NaN is false everywhere: a NaN threshold would keep nothing
+        f_d = DepthDistribution(np.full((2, 1, 1), 0.5))
+        with pytest.raises(ValueError, match="tau must be non-negative, not NaN"):
+            sparse_prune(f_d, float("nan"))
+
     def test_kept_sets_nest_as_tau_grows(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(8, 5, 5)) * 3
@@ -488,6 +494,13 @@ class TestBench:
         kept = [r["kept_ratio"] for r in rows]
         assert kept[0] == 1.0
         assert all(a >= b for a, b in zip(kept, kept[1:]))
+
+    @pytest.mark.parametrize("tau", [-1e-9, float("nan")])
+    def test_negative_or_nan_tau_raises(self, default_k, tau):
+        g = build_grid((-30, 30), (0.0, 80.0), 60, 80)
+        with pytest.raises(ValueError, match="tau must be non-negative, not NaN"):
+            bench_projection(default_k, g, [1e-3, tau], seed=3, c_i=2, c_d=8, h_f=4, w_f=4,
+                             uneven_bins=False)
 
     def test_huge_tau_removes_everything(self, default_k):
         g = build_grid((-30, 30), (0.0, 80.0), 60, 80)

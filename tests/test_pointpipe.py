@@ -507,3 +507,8 @@ class TestImageConfidenceMask:
     def test_negative_eps_raises(self):
         with pytest.raises(ValueError):
             image_confidence_mask(np.zeros((2, 2)), -1e-9)
+
+    def test_nan_eps_raises(self):
+        # conf > NaN is false everywhere: a NaN threshold would mask nothing
+        with pytest.raises(ValueError, match="eps must be non-negative, not NaN"):
+            image_confidence_mask(np.ones((2, 2)), float("nan"))

@@ -47,6 +47,11 @@ class TestRegimes:
         with pytest.raises(ValueError):
             SceneSpec(seed=0, regime="nowhere")
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_depth_bins_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"need at least one depth bin, got {n}"):
+            SceneSpec(seed=0, n_depth_bins=n)
+
 
 class TestSceneContents:
     def test_depth_distribution_is_normalized(self):
