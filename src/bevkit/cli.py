@@ -6,11 +6,13 @@ thresholds and bands) comes from the --config file alone, or from the
 built-in defaults; no subcommand flag overrides it.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
-randomness is seeded, nothing is timed, every kernel is single-threaded
-numpy with a fixed accumulation order, and JSON/CSV floats use shortest
-round-trip repr, so identical invocations write byte-identical files.
---threads is accepted and has no effect.  Human summaries go to stdout,
-machine output to the --out/--out-dir paths, diagnostics to stderr.
+randomness is seeded, nothing is timed, every accumulation is serial numpy
+in a fixed order, and JSON/CSV floats use shortest round-trip repr, so
+identical invocations write byte-identical files.  --threads N runs the
+row-parallel point kernels on N threads, at most the cores this process
+may run on (the default); they split rows, not sums, so every output is
+the same for any N.  Human summaries go to stdout, machine output to the
+--out/--out-dir paths, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bio
+from . import rows
 from .config import Config, load_config
 from .eval3d import match_and_ap
 from .geom import transform_cloud
@@ -286,8 +289,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bevkit", description=__doc__)
     parser.add_argument("--config", help="JSON config: the operating point of every "
                         "subcommand (keys not given keep the built-in defaults)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; every kernel runs single-threaded")
+    parser.add_argument("--threads", type=int, default=None, metavar="N",
+                        help="threads of the row-parallel point kernels, at most the "
+                        "available cores (default: all of them); outputs do not "
+                        "depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="build a BEV grid and print/serialize its edges")
@@ -372,11 +377,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"bevkit: error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     cfg = Config()
     try:
         if args.config:
             cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        with rows.worker_count(rows.capped(args.threads or rows.available_cores())):
+            return args.fn(args, cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"bevkit: {exc}", file=sys.stderr)
         return 2

@@ -44,6 +44,8 @@ class Config:
             raise ValueError("grid resolution must be >= 1")
         if not (self.tau >= 0 and self.epsilon >= 0):   # NaN fails too
             raise ValueError("tau and epsilon must be non-negative, not NaN")
+        if not self.visibility_tol > 0:   # NaN fails too
+            raise ValueError("visibility_tol must be positive, not NaN")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if self.m_proposals < 1:

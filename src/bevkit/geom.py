@@ -13,6 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import rows
+
 _ORTHO_TOL = 1e-9
 _MIN_DEPTH = 1e-9
 
@@ -231,32 +233,43 @@ def _project(xyz, K: CameraIntrinsics):
     where pixel is the index vi * width + ui of the nearest lattice pixel
     (ui = floor(u + 0.5), vi = floor(v + 0.5)); an out-of-view point gets
     the one extra index width * height, so a per-pixel buffer of
-    width * height + 1 entries takes every point without a gather."""
+    width * height + 1 entries takes every point without a gather.
+    Row-parallel: each block of rows writes its slice of the three."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    # one copy of the strided column serves three passes here and the
-    # caller's z-buffer passes
-    z = np.ascontiguousarray(xyz[:, 2])
-    # u and v are project_point's for z > 1e-9 and ignored elsewhere, so
-    # they divide by z as it is; far off axis just in front of the
-    # camera, u or v is +-inf and the pixel index below overflows or is
-    # nan; such points are out of view
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        fu, fv = K.fx * xyz[:, 0], K.fy * xyz[:, 1]
-        for f, c in ((fu, K.cx), (fv, K.cy)):
-            f /= z
-            f += c
-            f += 0.5              # the nearest lattice pixel (half-up rounding)
-            np.floor(f, out=f)    # kept as floats
-        in_view = z > _MIN_DEPTH
-        in_view &= fu >= 0
-        in_view &= fu < K.width
-        in_view &= fv >= 0
-        in_view &= fv < K.height
-        fv *= K.width
-        fv += fu
-    # only in-view indices are cast, so no non-finite value is
-    pixel = np.full(z.shape, K.width * K.height, dtype=np.int64)
-    np.copyto(pixel, fv, casting="unsafe", where=in_view)
+    n = xyz.shape[0]
+    z = np.empty(n)
+    pixel = np.empty(n, dtype=np.int64)
+    in_view = np.empty(n, dtype=bool)
+
+    def block(lo, hi):
+        # one copy of the strided column serves three passes here and the
+        # caller's z-buffer passes
+        zs = z[lo:hi]
+        np.copyto(zs, xyz[lo:hi, 2])
+        # u and v are project_point's for z > 1e-9 and ignored elsewhere,
+        # so they divide by z as it is; far off axis just in front of the
+        # camera, u or v is +-inf and the pixel index below overflows or
+        # is nan; such points are out of view
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fu, fv = K.fx * xyz[lo:hi, 0], K.fy * xyz[lo:hi, 1]
+            for f, c in ((fu, K.cx), (fv, K.cy)):
+                f /= zs
+                f += c
+                f += 0.5              # the nearest lattice pixel (half-up rounding)
+                np.floor(f, out=f)    # kept as floats
+            seen = np.greater(zs, _MIN_DEPTH, out=in_view[lo:hi])
+            seen &= fu >= 0
+            seen &= fu < K.width
+            seen &= fv >= 0
+            seen &= fv < K.height
+            fv *= K.width
+            fv += fu
+        # only in-view indices are cast, so no non-finite value is
+        ps = pixel[lo:hi]
+        ps.fill(K.width * K.height)
+        np.copyto(ps, fv, casting="unsafe", where=seen)
+
+    rows.run_blocks(n, block)
     return z, pixel, in_view
 
 
@@ -273,12 +286,22 @@ def transform_cloud(pc: PointCloud, pose: Pose) -> PointCloud:
     ``Pose.apply``'s arithmetic, bit for bit: the same matrix product,
     written straight into the first three columns of one (N, 4) buffer,
     then the translation added column by column (a broadcast add over
-    rows of three costs several times more)."""
+    rows of three costs several times more).  Row-parallel: each block of
+    rows is one product into its slice, checked finite there."""
     if len(pc) == 0:
         return pc
     moved = np.empty_like(pc.points)
-    np.matmul(pc.xyz, pose.rotation.T, out=moved[:, :3])
-    for k in range(3):
-        moved[:, k] += pose.translation[k]
-    moved[:, 3] = pc.intensity
-    return PointCloud(moved)
+    rot_t = pose.rotation.T
+    finite = []
+
+    def block(lo, hi):
+        rows_out = moved[lo:hi]
+        np.matmul(pc.points[lo:hi, :3], rot_t, out=rows_out[:, :3])
+        for k in range(3):
+            rows_out[:, k] += pose.translation[k]
+        rows_out[:, 3] = pc.points[lo:hi, 3]
+        finite.append(bool(np.isfinite(rows_out).all()))
+
+    rows.run_blocks(len(pc), block)
+    # a product that overflowed fails PointCloud's own check
+    return PointCloud._of_checked_rows(moved) if all(finite) else PointCloud(moved)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rows
 from .io import json_array, json_value
 
 OUT_OF_RANGE = -1
@@ -201,21 +202,31 @@ def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
     where either bin is off the grid or the value is not finite (a normal
     path, not an error); x and z share one shape, scalars included.
 
-    The two bin indices are combined in place, and one in-range mask
-    covering both axes marks the off-grid points."""
-    # one copy of a strided column costs less than strided reads in every pass
-    x = np.asarray(x, dtype=np.float64, order="C")
-    z = np.asarray(z, dtype=np.float64, order="C")
+    Row-parallel: each block of points copies its slice of the two
+    columns, combines the two bin indices in place into its slice of the
+    cells, and marks its off-grid points through one in-range mask
+    covering both axes."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if x.shape != z.shape:
+        raise ValueError(f"x and z must share one shape, got {x.shape} and {z.shape}")
     shape, x, z = z.shape, x.reshape(-1), z.reshape(-1)
-    off_grid = _in_range(z, *g.z_range)
-    off_grid &= _in_range(x, *g.x_range)
-    np.logical_not(off_grid, out=off_grid)
-    i_x = g._x_slots.bins_of(x)
-    del x                     # a copy, freed before the depth lookup's temporaries
-    cells = g._z_slots.bins_of(z)
-    cells *= g.n_x
-    cells += i_x
-    np.copyto(cells, OUT_OF_RANGE, where=off_grid)
+    cells = np.empty(z.size, dtype=np.int64)
+
+    def block(lo, hi):
+        # one copy of a strided column costs less than strided reads in every pass
+        xs = np.ascontiguousarray(x[lo:hi])
+        zs = np.ascontiguousarray(z[lo:hi])
+        off_grid = _in_range(zs, *g.z_range)
+        off_grid &= _in_range(xs, *g.x_range)
+        np.logical_not(off_grid, out=off_grid)
+        i_x = g._x_slots.bins_of(xs)
+        out = cells[lo:hi]
+        np.multiply(g._z_slots.bins_of(zs), g.n_x, out=out)
+        out += i_x
+        np.copyto(out, OUT_OF_RANGE, where=off_grid)
+
+    rows.run_blocks(z.size, block)
     return cells.reshape(shape)
 
 

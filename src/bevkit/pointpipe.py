@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rows
 from .geom import CameraIntrinsics, PointCloud, _project
 from .grid import UnevenGridSpec, cell_centers, cells_of
 
@@ -70,29 +71,44 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
 
     Pixels scan row-major; intensity is set to 1 for every point.
     (u - cx) * z / fx comes from a row of u - cx broadcast down the
-    image, (v - cy) * z / fy from a column; only a map with an invalid
-    pixel is compressed first.
+    image, (v - cy) * z / fy from a column.  Row-parallel: each block of
+    image rows writes its slice of one point per pixel and checks it
+    finite, and only a map with an invalid pixel is compressed after.
     """
     if (dm.height, dm.width) != (K.height, K.width):
         raise ValueError(
             f"depth map is {dm.width}x{dm.height} but intrinsics expect "
             f"{K.width}x{K.height}"
         )
-    z = dm.depths
-    u = np.arange(dm.width) - K.cx
+    z, w = dm.depths, dm.width
+    u = np.arange(w) - K.cx
     v = (np.arange(dm.height) - K.cy)[:, None]
+    points = np.empty(z.shape + (4,))
+    finite = []
+
+    def block(lo, hi):
+        r = slice(lo // w, hi // w)
+        zr, pr = z[r], points[r]
+        # an invalid pixel may give nan (0 * inf) or overflow (u * -1e308)
+        # and is dropped below; a valid one that overflows fails the
+        # finiteness check
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.multiply(u, zr, out=pr[..., 0])
+            pr[..., 0] /= K.fx
+            np.multiply(v[r], zr, out=pr[..., 1])
+            pr[..., 1] /= K.fy
+        pr[..., 2] = zr
+        pr[..., 3] = 1.0
+        finite.append(bool(np.isfinite(pr).all()))
+
+    rows.run_blocks(z.size, block, quantum=w)
+    points = points.reshape(-1, 4)
     valid = z > 0
     valid &= z < np.inf      # NaN fails both tests
     if not valid.all():
-        z, u, v = (np.broadcast_to(a, z.shape)[valid] for a in (z, u, v))
-    x = u * z
-    x /= K.fx
-    y = v * z
-    y /= K.fy
-    points = np.empty(z.shape + (4,))
-    for k, column in enumerate((x, y, z, 1.0)):
-        points[..., k] = column
-    return PointCloud(points.reshape(-1, 4))
+        return PointCloud(_compress_rows(valid.reshape(-1), points))
+    # a point that overflowed fails PointCloud's own check
+    return PointCloud._of_checked_rows(points) if all(finite) else PointCloud(points)
 
 
 def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> PointCloud:
@@ -115,23 +131,41 @@ def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     """``visibility_filter``'s survivors and ``unify_stats``' counts from
     one z-buffer pass; returns (PointCloud, dict)."""
     survive, in_view = _visibility_mask(pc, K, tol)
-    kept = np.compress(survive, pc.points, axis=0)
+    kept = _compress_rows(survive, pc.points)
     return PointCloud._of_checked_rows(kept), _unify_counts(survive, in_view)
+
+
+def _compress_rows(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``np.compress(mask, points, axis=0)``, row-parallel: each block of
+    the kept rows is one take into its slice."""
+    index = np.flatnonzero(mask)
+    kept = np.empty((index.size,) + points.shape[1:])
+    # mode="clip" takes in place; the default "raise" takes into a copy
+    # of the slice, and every index here is in range
+    rows.run_blocks(index.size, lambda lo, hi: np.take(
+        points, index[lo:hi], axis=0, out=kept[lo:hi], mode="clip"))
+    return kept
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
     """The one z-buffer pass behind every visibility entry point.
 
     Every point enters the z-buffer: out-of-view points all land in its
-    one extra dump pixel, which no in-view point reads."""
+    one extra dump pixel, which no in-view point reads.  The z-buffer's
+    ``minimum.at`` is serial; the survivor test after it is row-parallel."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     z, pixel, in_view = _project(pc.xyz, K)
     minz = np.full(K.width * K.height + 1, np.inf)
     np.minimum.at(minz, pixel, z)
     minz += tol               # once per pixel, not once per point
-    survive = z <= minz[pixel]
-    survive &= in_view
+    survive = np.empty(z.size, dtype=bool)
+
+    def block(lo, hi):
+        np.less_equal(z[lo:hi], minz[pixel[lo:hi]], out=survive[lo:hi])
+        survive[lo:hi] &= in_view[lo:hi]
+
+    rows.run_blocks(z.size, block)
     return survive, in_view
 
 

@@ -2,7 +2,7 @@ import io
 import json
 import struct
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bevkit import io as bio
+from bevkit import rows
 from bevkit.cli import _build_parser, main
 from bevkit.config import Config, load_config, save_config
 from bevkit.geom import Box3D, CameraIntrinsics, PointCloud
@@ -683,6 +684,23 @@ class TestThreadsEnv:
         assert main(["synth", "--seed", "1", "--out-dir", str(outdir / "scene")]) == 0
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_thread_count_below_one_is_a_usage_error(self, capsys, tmp_path, n):
+        out = tmp_path / "grid.json"
+        code, stdout, err = run(capsys, "--threads", n, "grid", "--out", str(out))
+        assert code == 1
+        assert err.splitlines() == [f"bevkit: error: --threads must be >= 1, got {n}"]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--threads", "1000000"], "cores"), (["--threads", "1"], 1), ([], "cores")])
+    def test_thread_count_is_capped_at_the_available_cores(self, monkeypatch, argv, want):
+        # the count main hands the pool, recorded in place of starting it
+        counts = []
+        monkeypatch.setattr(rows, "worker_count", lambda n: counts.append(n) or nullcontext())
+        assert main([*argv, "grid"]) == 0
+        assert counts == [rows.available_cores() if want == "cores" else want]
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
@@ -735,6 +753,16 @@ class TestConfig:
         code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
         assert code == 2
         assert err.splitlines() == ["bevkit: tau and epsilon must be non-negative, not NaN"]
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "0.0", "-1.0"])
+    def test_non_positive_visibility_tol_is_a_data_error(self, capsys, tmp_path, value):
+        # refused as the config is read, also by a subcommand that never culls
+        cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(f'{{"visibility_tol": {value}}}')
+        code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == ["bevkit: visibility_tol must be positive, not NaN"]
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("key", ["x_range", "z_range"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bevkit.config import Config
-from bevkit.geom import CameraIntrinsics, Pose, transform_cloud
+from bevkit.geom import CameraIntrinsics, PointCloud, Pose, transform_cloud
 from bevkit.headmath import mic_i2p_loss, mic_p2i_loss
 from bevkit.pointpipe import DepthMap, depthmap_to_cloud, occupancy_mask, pillarize, unify_visible
 
@@ -60,6 +60,7 @@ def stage_peaks():
     b_p, b_i = rng.standard_normal((2, 64, 1, g.n_z, g.n_x))
     m_i = rng.uniform(size=(g.n_z, g.n_x)) < 0.02
     peaks = {}
+    pillarize(PointCloud.empty(), g)    # its first call imports scipy.sparse
     tracemalloc.start()
     try:
         cloud = _peak(peaks, "depthmap_to_cloud", depthmap_to_cloud, depth, K)

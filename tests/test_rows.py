@@ -1,0 +1,294 @@
+"""Row-parallel point kernels: the split itself, its errors, its pool, and
+every split kernel byte-identical at pool sizes 1, 2 and 3.
+
+The kernel properties draw their row counts around the split thresholds
+(MIN_ROWS * k +- 1 and odd primes near them) and around the quantum, and
+their inputs from a seed, with the rows a kernel treats apart (behind the
+camera, off the image lattice, off the grid, NaN and inf) mixed in.
+"""
+
+import hashlib
+import multiprocessing
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bevkit import rows
+from bevkit.geom import CameraIntrinsics, PointCloud, Pose, _project, transform_cloud
+from bevkit.grid import build_grid, cells_of
+from bevkit.io import write_intrinsics, write_tnsr
+from bevkit.pointpipe import DepthMap, _visibility_mask, depthmap_to_cloud, unify_visible
+from test_geom import former_project
+from test_grid import former_cells_of
+from test_imports import run_python
+from test_pointpipe import _rotation, former_depthmap_to_cloud
+
+M, Q = rows.MIN_ROWS, rows.QUANTUM
+POOL_SIZES = (1, 2, 3)
+# one, two, three and four parts' worth of rows, one either side
+THRESHOLD_COUNTS = [M * k + d for k in (1, 2, 3, 4) for d in (-1, 1)]
+ODD_PRIMES = [131071, 131101, 196597, 196613, 262127, 262133]
+# across quantum multiples near the two- and three-part thresholds
+QUANTUM_COUNTS = [k * M + j * Q + d for k in (2, 3) for j in (1, 2) for d in (-1, 0, 1)]
+row_counts = st.sampled_from(THRESHOLD_COUNTS + ODD_PRIMES + QUANTUM_COUNTS)
+K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+GRID = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80)
+
+
+def at_each_pool_size(kernel, *args):
+    """The kernel's outputs as bytes at pool sizes 1, 2 and 3, after
+    checking that all three are equal."""
+    outs = []
+    for n in POOL_SIZES:
+        with rows.worker_count(n):
+            out = kernel(*args)
+        outs.append([np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))])
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    return outs[0]
+
+
+def camera_points(rng, n, special_share):
+    """n rows of (x, y, z, intensity) in front of K, some shifted behind
+    the camera or off the image lattice, and about a quarter stacked on
+    a few pixels so that the z-buffer occludes."""
+    z = rng.uniform(0.5, 8.0, n)
+    xyz = np.column_stack([rng.uniform(-0.6, 0.6, n) * z, rng.uniform(-0.45, 0.45, n) * z, z])
+    stacked = rng.uniform(size=n) < 0.25
+    rays = rng.uniform(-0.5, 0.5, (8, 2))
+    xyz[stacked, :2] = rays[rng.integers(0, 8, stacked.sum())] * xyz[stacked, 2:]
+    special = np.flatnonzero(rng.uniform(size=n) < special_share)
+    kind = rng.integers(0, 3, special.size)
+    xyz[special[kind == 0], 2] *= -1.0                      # behind the camera
+    xyz[special[kind == 1], 2] = rng.choice([0.0, 1e-9, 1e-12], (kind == 1).sum())
+    xyz[special[kind == 2], 0] *= 3.0                       # off the lattice
+    return np.column_stack([xyz, rng.uniform(size=n)])
+
+
+class TestPartBounds:
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.one_of(st.integers(0, 10 * M), row_counts), workers=st.integers(1, 8),
+           quantum=st.sampled_from([Q, 1, 640, 1021]))
+    def test_parts_tile_the_rows(self, n, workers, quantum):
+        bounds = rows.part_bounds(n, workers, quantum)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert 1 <= len(bounds) <= workers
+        if len(bounds) > 1:
+            assert all(hi - lo >= M for lo, hi in bounds)
+            assert all(lo % quantum == 0 for lo, _ in bounds)
+        # one part fewer would not have been needed
+        more = len(bounds) + 1
+        assert more > workers or n // more // quantum * quantum < M
+
+    def test_thresholds(self):
+        assert len(rows.part_bounds(2 * M - 1, 2)) == 1
+        assert len(rows.part_bounds(2 * M + 1, 2)) == 2
+        assert len(rows.part_bounds(3 * M + 1, 3)) == 3
+        assert len(rows.part_bounds(3 * M + 1, 2)) == 2
+        assert len(rows.part_bounds(100_000, 2)) == 1   # an outdoor cloud stays serial
+
+
+class TestRunBlocks:
+    def test_every_row_once_in_whole_blocks(self):
+        seen = []
+        with rows.worker_count(3):
+            rows.run_blocks(3 * M + 12345, lambda lo, hi: seen.append((lo, hi)))
+        seen.sort()
+        assert seen[0][0] == 0 and seen[-1][1] == 3 * M + 12345
+        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+        assert all(lo % Q == 0 for lo, _ in seen)
+        # whole blocks, each part's last one also taking the remainder
+        assert all(rows.BLOCK_ROWS <= hi - lo < 2 * rows.BLOCK_ROWS for lo, hi in seen)
+
+    def test_serial_below_the_threshold_runs_on_the_caller(self):
+        threads = set()
+        with rows.worker_count(3):
+            rows.run_blocks(2 * M - 1, lambda lo, hi: threads.add(threading.get_ident()))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_surfaces_after_every_part_has_finished(self, failing):
+        n = 3 * M + 1
+        failing_lo = 0 if failing == "caller" else rows.part_bounds(n, 3)[-1][0]
+        finished = []
+
+        def block(lo, hi):
+            if lo == failing_lo:
+                raise KeyError(lo)
+            time.sleep(0.02)
+            finished.append(lo)
+
+        with rows.worker_count(3), pytest.raises(KeyError) as err:
+            rows.run_blocks(n, block)
+        # the failing part stops at its first block, and every other part
+        # ran to its end before the error surfaced
+        assert err.value.args == (failing_lo,)
+        assert sorted(finished) == [b for lo, hi in rows.part_bounds(n, 3) if lo != failing_lo
+                                    for b in range(lo, hi - rows.BLOCK_ROWS + 1, rows.BLOCK_ROWS)]
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # every block runs once and every output row is written once, also
+        # when threads trade the interpreter lock after each bytecode or so
+        n, workers = 8 * M + 3, rows.available_cores() + 6
+        rng = np.random.default_rng(6)
+        x, z = rng.uniform(-40.0, 90.0, (2, n))
+        with rows.worker_count(1):
+            want = cells_of(x, z, GRID).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with rows.worker_count(workers):
+                for _ in range(3):
+                    seen = []
+                    rows.run_blocks(n, lambda lo, hi: seen.append((lo, hi)))
+                    assert sum(hi - lo for lo, hi in seen) == n and len(set(seen)) == len(seen)
+                    assert cells_of(x, z, GRID).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_is_restored(self):
+        before = rows._POOL.workers
+        with pytest.raises(ZeroDivisionError):
+            with rows.worker_count(3):
+                1 / 0
+        assert rows._POOL.workers == before
+        with pytest.raises(ValueError):
+            with rows.worker_count(0):
+                pass
+
+
+class TestWorkerCount:
+    def test_requested_count_is_capped_at_the_available_cores(self):
+        before = threading.active_count()
+        cores = rows.available_cores()
+        assert rows.capped(10**9) == cores
+        assert rows.capped(1) == 1
+        assert rows.capped(cores) == cores
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                rows.capped(bad)
+        assert threading.active_count() == before
+
+    def test_cli_starts_threads_only_above_one(self, tmp_path):
+        # a 640x480 depth frame: 307200 points, enough rows to split
+        write_tnsr(tmp_path / "depth.tnsr",
+                   np.random.default_rng(4).uniform(0.5, 8.0, (1, 1, K.height, K.width)))
+        write_intrinsics(tmp_path / "k.json", K)
+        code = ("import sys, threading\n"
+                "from bevkit.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(threading.active_count())\n"
+                "sys.exit(code)\n")
+        started, outputs = {}, {}
+        for threads in (["--threads", "1"], ["--threads", "2"], []):
+            name = threads[-1] if threads else "default"
+            out = run_python(code, *threads, "unify", "--in", str(tmp_path / "depth.tnsr"),
+                             "--intrinsics", str(tmp_path / "k.json"),
+                             "--out", str(tmp_path / f"{name}.mmpc"))
+            assert out.returncode == 0, out.stderr
+            started[name] = int(out.stdout.splitlines()[-1]) - 1
+            outputs[name] = (tmp_path / f"{name}.mmpc").read_bytes()
+        assert started["1"] == 0
+        if rows.available_cores() > 1:
+            assert started["2"] == 1 and 1 <= started["default"] < rows.available_cores()
+        assert outputs["2"] == outputs["1"] and outputs["default"] == outputs["1"]
+
+
+def _child_digest(conn, pc, pose):
+    conn.send(hashlib.sha256(transform_cloud(pc, pose).points.tobytes()).hexdigest())
+    conn.close()
+
+
+def test_forked_child_runs_split_kernels():
+    rng = np.random.default_rng(5)
+    pc = PointCloud(rng.normal(size=(3 * M + 7, 4)))
+    pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3))
+    with rows.worker_count(2):
+        want = hashlib.sha256(transform_cloud(pc, pose).points.tobytes()).hexdigest()
+        assert rows._POOL.executor is not None       # the parent's pool has threads
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_digest, args=(sender, pc, pose))
+        child.start()
+        sender.close()
+        try:
+            got = receiver.recv() if receiver.poll(30) else None
+            child.join(timeout=30)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert got == want
+    assert child.exitcode == 0
+
+
+class TestSplitKernels:
+    """Each split kernel at pool sizes 1, 2 and 3, and against its serial
+    former form."""
+
+    @settings(deadline=None, max_examples=12)
+    @given(n=row_counts, seed=st.integers(0, 2**32 - 1),
+           special_share=st.sampled_from([0.0, 0.01, 0.3]))
+    def test_project(self, n, seed, special_share):
+        xyz = camera_points(np.random.default_rng(seed), n, special_share)[:, :3]
+        xyz[:: max(1, n // 7), :] = [np.inf, np.nan, 1.0]     # project_point's odd rows
+        z, pixel, in_view = at_each_pool_size(_project, xyz, K)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _, _, *want = former_project(xyz, K)
+        assert [z, pixel, in_view] == [a.tobytes() for a in want]
+
+    @settings(deadline=None, max_examples=12)
+    @given(n=row_counts, seed=st.integers(0, 2**32 - 1),
+           special_share=st.sampled_from([0.0, 0.01, 0.3]))
+    def test_visibility(self, n, seed, special_share):
+        pc = PointCloud(camera_points(np.random.default_rng(seed), n, special_share))
+        survive, in_view = at_each_pool_size(_visibility_mask, pc, K, 0.1)
+        kept = at_each_pool_size(lambda: unify_visible(pc, K, 0.1)[0].points)
+        want = np.frombuffer(survive, dtype=bool)
+        assert kept[0] == np.compress(want, pc.points, axis=0).tobytes()
+
+    @settings(deadline=None, max_examples=12)
+    @given(h=st.sampled_from([205, 206, 307, 308, 409, 410]), w=st.sampled_from([640, 641, 1021]),
+           seed=st.integers(0, 2**32 - 1),
+           invalid_share=st.sampled_from([0.0, 0.001, 0.3]))
+    def test_depthmap_to_cloud(self, h, w, seed, invalid_share):
+        rng = np.random.default_rng(seed)
+        depths = rng.uniform(0.5, 8.0, (h, w))
+        bad = rng.uniform(size=depths.shape) < invalid_share
+        depths[bad] = rng.choice([np.nan, 0.0, -1.0, np.inf, -np.inf], bad.sum())
+        cam = CameraIntrinsics(fx=500.0, fy=480.0, cx=w / 2 - 0.25, cy=h / 2, width=w, height=h)
+        dm = DepthMap(depths)
+        (points,) = at_each_pool_size(lambda: depthmap_to_cloud(dm, cam).points)
+        assert points == former_depthmap_to_cloud(dm, cam).tobytes()
+
+    @settings(deadline=None, max_examples=12)
+    @given(n=row_counts, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_transform_cloud_is_pose_apply(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        pc = PointCloud(rng.normal(size=(n, 4)) * scale)
+        pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3) * scale)
+        (points,) = at_each_pool_size(lambda: transform_cloud(pc, pose).points)
+        assert points == np.column_stack([pose.apply(pc.xyz), pc.intensity]).tobytes()
+
+    @settings(deadline=None, max_examples=12)
+    @given(n=row_counts, seed=st.integers(0, 2**32 - 1),
+           special_share=st.sampled_from([0.0, 0.01, 0.3]))
+    def test_cells_of(self, n, seed, special_share):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-40.0, 90.0, (n, 4))     # a share off the grid on each axis
+        special = np.flatnonzero(rng.uniform(size=n) < special_share)
+        points[special, rng.choice([0, 2], special.size)] = rng.choice(
+            [np.nan, np.inf, -np.inf, 30.0, 80.0, -30.0, 0.0], special.size)
+        x, z = points[:, 0], points[:, 2]
+        (cells,) = at_each_pool_size(cells_of, x, z, GRID)
+        with np.errstate(over="ignore"):
+            assert cells == former_cells_of(x, z, GRID).tobytes()
+
+    def test_cells_of_refuses_columns_of_two_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            cells_of(0.0, np.zeros(3), GRID)
