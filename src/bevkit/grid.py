@@ -200,7 +200,12 @@ def build_grid(x_range, z_range, n_x: int, n_z: int, uneven: bool = True) -> Une
 def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
     """Linear BEV cell i_z * n_x + i_x of each point (x, z), or OUT_OF_RANGE
     where either bin is off the grid or the value is not finite (a normal
-    path, not an error); x and z share one shape, scalars included.
+    path, not an error); x and z share one shape, scalars included."""
+    return _cells_of(x, z, g, OUT_OF_RANGE)
+
+
+def _cells_of(x, z, g: UnevenGridSpec, off_grid_cell: int) -> np.ndarray:
+    """``cells_of`` with ``off_grid_cell`` in place of OUT_OF_RANGE.
 
     Row-parallel: each block of points copies its slice of the two
     columns, combines the two bin indices in place into its slice of the
@@ -224,7 +229,7 @@ def cells_of(x, z, g: UnevenGridSpec) -> np.ndarray:
         out = cells[lo:hi]
         np.multiply(g._z_slots.bins_of(zs), g.n_x, out=out)
         out += i_x
-        np.copyto(out, OUT_OF_RANGE, where=off_grid)
+        np.copyto(out, off_grid_cell, where=off_grid)
 
     rows.run_blocks(z.size, block)
     return cells.reshape(shape)

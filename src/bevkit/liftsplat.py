@@ -99,8 +99,11 @@ def sparse_prune(f_d: DepthDistribution, tau: float) -> SparseProjection:
     c_d, h, w = f_d.probs.shape
     probs = f_d.probs.reshape(c_d, h * w)
     # flat indices into the (pixel, bin) transpose enumerate pixel-major,
-    # bin ascending
-    pixels, bins = np.divmod(np.flatnonzero((probs >= tau).T), c_d)
+    # bin ascending; split by scalar floor division and an in-place
+    # subtract, as np.divmod takes numpy's slow int64 remainder path
+    bins = np.flatnonzero((probs >= tau).T)
+    pixels = bins // c_d
+    bins -= pixels * c_d
     return SparseProjection(pixels, bins, probs[bins, pixels], f_d.probs.shape, float(tau))
 
 
@@ -124,7 +127,12 @@ def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,
                    uneven_bins: bool) -> np.ndarray:
     """BEV cell (linear, -1 if off-grid) for each kept projection entry."""
     c_d, _, w_f = sp.source_shape
-    return _column_cells(K, g, c_d, w_f, uneven_bins)[sp.bins * w_f + sp.pixels % w_f]
+    # bins * w_f + pixels % w_f, without numpy's slow int64 remainder path
+    index = sp.pixels // w_f
+    index *= -w_f
+    index += sp.pixels
+    index += sp.bins * w_f
+    return _column_cells(K, g, c_d, w_f, uneven_bins)[index]
 
 
 def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,

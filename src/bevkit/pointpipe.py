@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rows
 from .geom import CameraIntrinsics, PointCloud, _project
-from .grid import UnevenGridSpec, cell_centers, cells_of
+from .grid import UnevenGridSpec, _cells_of, cell_centers
 
 # BEV masks are plain (n_z, n_x) boolean arrays.
 BevMask = np.ndarray
@@ -193,8 +193,9 @@ def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:
     import scipy.sparse  # loaded on first use: import bevkit stays scipy-free
 
     n = len(pc)
-    cells = cells_of(pc.xyz[:, 0], pc.xyz[:, 2], g)
-    cells[cells < 0] = g.n_cells     # off-grid rows go to one dump bin
+    # off-grid rows go to one dump bin, marked inside cells_of's split
+    # blocks rather than by a serial cells[cells < 0] pass after them
+    cells = _cells_of(pc.xyz[:, 0], pc.xyz[:, 2], g, g.n_cells)
     counts = np.bincount(cells, minlength=g.n_cells + 1)
     n_dropped = int(counts[g.n_cells])
     seg_cells = np.flatnonzero(counts[:g.n_cells])

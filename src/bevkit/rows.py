@@ -19,7 +19,9 @@ malloc arena, whose freed memory stays resident.
 
 The worker count is process-wide, like the kernels that read it: by
 default the cores this process may run on, else what ``worker_count``
-sets.  A block must not call ``run_blocks`` itself.
+sets.  A call from a pool thread (a block's, or a task's submitted to
+the pool) runs serially: the parts it queued would wait behind the very
+thread that waits for them, forever with one pool thread.
 """
 
 from __future__ import annotations
@@ -76,9 +78,17 @@ class _Pool:
                 if self.executor is not None:
                     self.executor.shutdown(wait=True)
                 self.executor = ThreadPoolExecutor(workers - 1,
-                                                   thread_name_prefix="bevkit-rows")
+                                                   thread_name_prefix="bevkit-rows",
+                                                   initializer=_mark_pool_thread)
                 self.threads = workers - 1
             return self.executor
+
+
+_ON_POOL = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _ON_POOL.thread = True
 
 
 _POOL = _Pool()
@@ -119,7 +129,8 @@ def run_blocks(n: int, block, quantum: int = QUANTUM) -> None:
     rows (rounded to quantum; a part's last block up to twice that), each
     part's blocks in order on one thread; every boundary but n a multiple
     of quantum.  Returns once every part has finished, re-raising the
-    caller's error or else the first worker's."""
+    caller's error or else the first worker's.  On a pool thread the rows
+    are one part."""
     n_workers = _POOL.workers
     step = max(quantum, BLOCK_ROWS // quantum * quantum)
 
@@ -133,7 +144,7 @@ def run_blocks(n: int, block, quantum: int = QUANTUM) -> None:
                 block(b, e)
 
     bounds = part_bounds(n, n_workers, quantum)
-    if len(bounds) == 1:
+    if len(bounds) == 1 or getattr(_ON_POOL, "thread", False):
         part(0, n)
         return
     executor = _POOL.executor_for(n_workers)

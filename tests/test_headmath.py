@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from bevkit.geom import unproject_pixel
+from bevkit.geom import CameraIntrinsics, unproject_pixel
 from bevkit.headmath import (
     DalnParams,
     DomainConfidence,
     LabelSpace,
+    Proposal,
     ProposalAttributes,
     class_alignment_loss,
     daln,
@@ -551,6 +552,85 @@ class TestDecodeProposals:
         attrs = ProposalAttributes(np.zeros((4, 4)), np.zeros((4, 4, 2)), np.ones((4, 4)))
         with pytest.raises(ValueError):
             decode_proposals(attrs, default_k, m=0)
+
+
+def former_decode_proposals(attrs, K, m=100):
+    """The former per-peak loop: each of the top m peaks split by divmod
+    and unprojected by ``unproject_pixel`` on its own."""
+    h, w = attrs.heatmap.shape
+    peaks = heatmap_peaks(attrs.heatmap)
+    conf = attrs.heatmap.ravel()[peaks]
+    out = []
+    for idx in np.lexsort((peaks, -conf))[:m]:
+        v, u = divmod(int(peaks[idx]), w)
+        depth = float(attrs.depth[v, u])
+        if depth <= 0:
+            continue
+        du, dv = attrs.offset[v, u]
+        out.append(Proposal(unproject_pixel(u + du, v + dv, depth, K), float(conf[idx])))
+    return out
+
+
+@st.composite
+def decode_cases(draw):
+    """Small heads whose heatmaps draw from a few levels, so that plateau
+    ties are common, with some peak depths <= 0, a camera anywhere on the
+    image, and m from below to above the peak count."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    level = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    heat = draw(arrays(np.float64, (h, w), elements=level))
+    offset = draw(arrays(np.float64, (h, w, 2), elements=st.floats(-2.0, 2.0)))
+    depth = draw(arrays(np.float64, (h, w), elements=st.one_of(
+        st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 1e-3]), st.floats(0.1, 90.0))))
+    K = CameraIntrinsics(fx=draw(st.floats(0.5, 1e3)), fy=draw(st.floats(0.5, 1e3)),
+                         cx=draw(st.floats(0.0, w, exclude_max=True)),
+                         cy=draw(st.floats(0.0, h, exclude_max=True)), width=w, height=h)
+    n_peaks = heatmap_peaks(heat).size
+    m = max(1, n_peaks + draw(st.integers(-3, 3)))
+    return ProposalAttributes(heat, offset, depth), K, m
+
+
+def assert_same_proposals(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.center.shape == (3,) and a.center.dtype == np.float64
+        assert a.center.tobytes() == b.center.tobytes()
+        assert repr(a.confidence) == repr(b.confidence)
+
+
+class TestFormerDecodeProposals:
+    """The batched decode against the per-peak loop, byte for byte."""
+
+    @given(decode_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_loop(self, case):
+        attrs, K, m = case
+        assert_same_proposals(decode_proposals(attrs, K, m), former_decode_proposals(attrs, K, m))
+
+    def test_plateau_and_nonpositive_depth(self, default_k):
+        hm = np.zeros((8, 8))
+        hm[1, 1] = hm[1, 2] = hm[5, 5] = 0.5     # (1, 1) wins the plateau
+        hm[3, 3] = 0.7
+        depth = np.full((8, 8), 2.0)
+        depth[3, 3] = 0.0                         # the best peak is skipped
+        attrs = ProposalAttributes(hm, np.full((8, 8, 2), 0.25), depth)
+        for m in (1, 2, 3, 100):
+            got = decode_proposals(attrs, default_k, m)
+            assert_same_proposals(got, former_decode_proposals(attrs, default_k, m))
+        assert [p.confidence for p in decode_proposals(attrs, default_k, 3)] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("h, w", [(32, 88), (30, 40)])
+    def test_head_sized_maps(self, default_k, h, w):
+        # the two operating points' heads, with more peaks than are decoded
+        rng = np.random.default_rng(h * w)
+        attrs = ProposalAttributes(0.1 * rng.uniform(size=(h, w)),
+                                   rng.uniform(-0.5, 0.5, (h, w, 2)),
+                                   rng.uniform(-1.0, 80.0, (h, w)))
+        K = CameraIntrinsics(fx=88.0, fy=88.0, cx=w / 2, cy=h / 2, width=w, height=h)
+        assert heatmap_peaks(attrs.heatmap).size > 100
+        for m in (1, 100, h * w):
+            assert_same_proposals(decode_proposals(attrs, K, m),
+                                  former_decode_proposals(attrs, K, m))
 
 
 class TestGaussianHeatmap:

@@ -9,6 +9,7 @@ from bevkit.grid import build_grid, cells_of, depth_bin_centers
 from bevkit.liftsplat import (
     DepthDistribution,
     SparseProjection,
+    _column_cells,
     _entry_targets,
     bench_projection,
     bev_depth_confidence,
@@ -204,6 +205,36 @@ class TestSparsePruneFormer:
         for got, expected in zip((sp.pixels, sp.bins, sp.weights), former_sparse_prune(f_d, tau)):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+def former_entry_targets(sp, K, g, uneven_bins):
+    """The former entry index, whose remainder pixels % W_f picks the column."""
+    c_d, _, w_f = sp.source_shape
+    return _column_cells(K, g, c_d, w_f, uneven_bins)[sp.bins * w_f + sp.pixels % w_f]
+
+
+class TestEntryTargetsFormer:
+    @given(depth_cases(), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_equals_the_remainder_form_byte_for_byte(self, case, uneven_bins):
+        f_d, tau = case
+        _, h, w = f_d.probs.shape
+        K = CameraIntrinsics(fx=float(w), fy=float(w), cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+        g = build_grid((-3.0, 3.0), (0.2, 4.0), 3, 4)
+        sp = sparse_prune(f_d, tau)
+        got = _entry_targets(sp, K, g, uneven_bins)
+        expected = former_entry_targets(sp, K, g, uneven_bins)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("w_f", [40, 88])
+    def test_feature_map_widths_of_the_operating_points(self, w_f):
+        K = CameraIntrinsics(fx=float(w_f), fy=float(w_f), cx=w_f / 2.0, cy=16.0,
+                             width=w_f, height=32)
+        _, f_d = synth_projection_inputs(5, 1, 118, 32, w_f)
+        sp = sparse_prune(f_d, 1e-3)
+        g = Config().grid()
+        assert (_entry_targets(sp, K, g, True).tobytes()
+                == former_entry_targets(sp, K, g, True).tobytes())
 
 
 class TestSplat:

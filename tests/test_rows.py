@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from bevkit import rows
 from bevkit.geom import CameraIntrinsics, PointCloud, Pose, _project, transform_cloud
-from bevkit.grid import build_grid, cells_of
+from bevkit.grid import _cells_of, build_grid, cells_of
 from bevkit.io import write_intrinsics, write_tnsr
 from bevkit.pointpipe import DepthMap, _visibility_mask, depthmap_to_cloud, unify_visible
 from test_geom import former_project
@@ -151,6 +151,17 @@ class TestRunBlocks:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_pool_task_runs_serially(self, workers):
+        # a task on the pool that split would queue its parts behind itself
+        # and, with one pool thread, wait for them forever: the task runs in
+        # a forked child, which the timeout ends
+        n = 3 * M + 1
+        assert len(rows.part_bounds(n, workers)) == workers
+        with rows.worker_count(1):
+            want = cells_of(*pool_task_columns(n), GRID).tobytes()
+        assert in_forked_child(_child_pool_task, workers, n) == (True, want)
+
     def test_worker_count_is_restored(self):
         before = rows._POOL.workers
         with pytest.raises(ZeroDivisionError):
@@ -199,6 +210,44 @@ class TestWorkerCount:
         assert outputs["2"] == outputs["1"] and outputs["default"] == outputs["1"]
 
 
+def in_forked_child(target, *args, timeout=30):
+    """What ``target(conn, *args)`` sends from a forked child, or None if
+    it sends nothing within the timeout; a child still running is killed."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=target, args=(sender,) + args)
+    child.start()
+    sender.close()
+    try:
+        got = receiver.recv() if receiver.poll(timeout) else None
+        child.join(timeout=timeout)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got is None or child.exitcode == 0
+    return got
+
+
+def pool_task_columns(n):
+    return np.random.default_rng(8).uniform(-40.0, 90.0, (2, n))
+
+
+def _child_pool_task(conn, workers, n):
+    x, z = pool_task_columns(n)
+
+    def task():
+        threads = set()
+        rows.run_blocks(n, lambda lo, hi: threads.add(threading.get_ident()))
+        return threading.get_ident(), threads, cells_of(x, z, GRID).tobytes()
+
+    with rows.worker_count(workers):
+        ident, threads, cells = rows._POOL.executor_for(workers).submit(task).result()
+    # every block of the task's own split ran on the task's pool thread
+    conn.send((ident != threading.get_ident() and threads == {ident}, cells))
+    conn.close()
+
+
 def _child_digest(conn, pc, pose):
     conn.send(hashlib.sha256(transform_cloud(pc, pose).points.tobytes()).hexdigest())
     conn.close()
@@ -211,20 +260,7 @@ def test_forked_child_runs_split_kernels():
     with rows.worker_count(2):
         want = hashlib.sha256(transform_cloud(pc, pose).points.tobytes()).hexdigest()
         assert rows._POOL.executor is not None       # the parent's pool has threads
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_child_digest, args=(sender, pc, pose))
-        child.start()
-        sender.close()
-        try:
-            got = receiver.recv() if receiver.poll(30) else None
-            child.join(timeout=30)
-        finally:
-            if child.is_alive():
-                child.kill()
-                child.join()
-    assert got == want
-    assert child.exitcode == 0
+        assert in_forked_child(_child_digest, pc, pose) == want
 
 
 class TestSplitKernels:
@@ -288,6 +324,25 @@ class TestSplitKernels:
         (cells,) = at_each_pool_size(cells_of, x, z, GRID)
         with np.errstate(over="ignore"):
             assert cells == former_cells_of(x, z, GRID).tobytes()
+
+    def test_cells_of_with_a_dump_cell(self, cell_oracle):
+        # pillarize's form: off-grid and non-finite rows take the cell
+        # n_cells, marked in the split blocks; cells_of keeps OUT_OF_RANGE
+        n = 3 * M + 1     # split in two parts at 2 workers, three at 3
+        rng = np.random.default_rng(n)
+        x, z = rng.uniform(-40.0, 90.0, (2, n))     # a share off the grid on each axis
+        special = np.flatnonzero(rng.uniform(size=n) < 0.05)
+        column = rng.choice([0, 1], special.size)
+        values = rng.choice([np.nan, np.inf, -np.inf, 30.0, 80.0, -30.0, 0.0], special.size)
+        x[special[column == 0]], z[special[column == 1]] = (values[column == 0],
+                                                           values[column == 1])
+        (cells,) = at_each_pool_size(_cells_of, x, z, GRID, GRID.n_cells)
+        (plain,) = at_each_pool_size(cells_of, x, z, GRID)
+        want = np.array([cell_oracle.cell(a, b, GRID) for a, b in zip(x.tolist(), z.tolist())])
+        assert np.isnan(x).any() and np.isnan(z).any() and (want < 0).any()
+        assert plain == want.tobytes()
+        want[want < 0] = GRID.n_cells
+        assert cells == want.tobytes()
 
     def test_cells_of_refuses_columns_of_two_shapes(self):
         with pytest.raises(ValueError, match="one shape"):
