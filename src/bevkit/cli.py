@@ -5,14 +5,15 @@ threshold tau, projection-bin spacing, visibility tolerance, gamma, eval
 thresholds and bands) comes from the --config file alone, or from the
 built-in defaults; no subcommand flag overrides it.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
-randomness is seeded, nothing is timed, every accumulation is serial numpy
-in a fixed order, and JSON/CSV floats use shortest round-trip repr, so
-identical invocations write byte-identical files.  --threads N runs the
-row-parallel point kernels on N threads, at most the cores this process
-may run on (the default); they split rows, not sums, so every output is
-the same for any N.  Human summaries go to stdout, machine output to the
---out/--out-dir paths, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (out of
+memory included).  All randomness is seeded, nothing is timed, every
+accumulation is serial numpy in a fixed order, and JSON/CSV floats use
+shortest round-trip repr, so identical invocations write byte-identical
+files.  --threads N runs the row-parallel point kernels on N threads, at
+most the cores this process may run on (the default); they split rows,
+not sums, so every output is the same for any N.  Human summaries go to
+stdout, machine output to the --out/--out-dir paths, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_dump(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_grid(args, cfg: Config) -> int:
     g = cfg.grid()
     if args.print_edges:
@@ -101,7 +96,7 @@ def _cmd_project(args, cfg: Config) -> int:
                           uneven_bins=cfg.uneven_projection_bins)
     bio.write_tnsr(args.out, result.bev)
     if args.stats:
-        _json_dump(args.stats, {
+        bio.write_json(args.stats, {
             "tau": sp.tau,
             "total": sp.total,
             "kept": sp.kept,
@@ -161,7 +156,7 @@ def _cmd_unify(args, cfg: Config) -> int:
     retained, stats = unify_visible(cloud, K, cfg.visibility_tol)
     bio.write_mmpc(args.out, retained)
     if args.stats:
-        _json_dump(args.stats, stats)
+        bio.write_json(args.stats, stats)
     print(f"retained {stats['retained']}/{stats['input']} points "
           f"({stats['out_of_view']} out of view, {stats['occluded']} occluded)")
     return 0
@@ -201,7 +196,7 @@ def _losses_daln(args, cfg: Config) -> int:
                                     for k in ("alphas", "betas", "x", "confidence"))
     out = daln(x, DalnParams(alphas, betas), confidence)
     if args.out:
-        _json_dump(args.out, {"output": out.tolist()})
+        bio.write_json(args.out, {"output": out.tolist()})
     print(json.dumps({"output": out.tolist()}))
     return 0
 
@@ -230,7 +225,7 @@ def _losses_calign(args, cfg: Config) -> int:
         bio.json_array(d["labels"], "labels", int), space,
         bio.json_value(d["dataset"], int, "dataset"))
     if args.out:
-        _json_dump(args.out, {"scaled": scaled.tolist(), "total": float(scaled.sum())})
+        bio.write_json(args.out, {"scaled": scaled.tolist(), "total": float(scaled.sum())})
     print(f"loss {float(scaled.sum())!r}")
     return 0
 
@@ -261,7 +256,7 @@ def _cmd_eval(args, cfg: Config) -> int:
     gts = bio.read_boxes_jsonl(args.gt)
     preds = bio.read_boxes_jsonl(args.pred)
     metrics = match_and_ap(preds, gts, cfg.match_config())
-    _json_dump(args.out, metrics)
+    bio.write_json(args.out, metrics)
     headline = metrics["headline_ap"]
     print(f"headline AP: {'undefined' if headline is None else f'{headline:.4f}'}"
           f" ({metrics['n_pred']} predictions vs {metrics['n_gt']} ground truths)")
@@ -380,14 +375,19 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         print(f"bevkit: error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 1
+    cores = rows.available_cores()
     cfg = Config()
     try:
         if args.config:
             cfg = load_config(args.config)
-        with rows.worker_count(rows.capped(args.threads or rows.available_cores())):
+        with rows.worker_count(min(args.threads or cores, cores)):
             return args.fn(args, cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"bevkit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:    # numpy's names the array it could not allocate
+        print(f"bevkit: out of memory: {exc}" if str(exc) else "bevkit: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -2,19 +2,20 @@
 evaluation harness share.
 
 Defaults mirror the reference operating point: BEV ranges X(-30, 30),
-Z(0, 80) m, a 60 x 80 BEV grid, projection-prune threshold 1e-3,
-class-alignment factor 0.2, image-mask threshold 5e-4 and 100 proposals.
+Z(0, 80) m, a 60 x 80 BEV grid, projection-prune threshold 1e-3 and
+class-alignment factor 0.2.  The image-mask threshold 5e-4 and the 100
+proposals are constants of the class, not settable keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, Tuple
 
 from .eval3d import MatchConfig
 from .grid import UnevenGridSpec, build_grid
-from .io import json_value
+from .io import json_value, write_json
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,9 @@ class Config:
     n_z: int = 80
     tau: float = 1e-3
     gamma: float = 0.2
-    epsilon: float = 5e-4
-    m_proposals: int = 100
+    # constants, not config keys: no subcommand reads them
+    epsilon: ClassVar[float] = 5e-4
+    m_proposals: ClassVar[int] = 100
     uneven_grid: bool = True
     uneven_projection_bins: bool = False
     visibility_tol: float = 0.1
@@ -42,14 +44,12 @@ class Config:
             object.__setattr__(self, name, (float(pair[0]), float(pair[1])))
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError("grid resolution must be >= 1")
-        if not (self.tau >= 0 and self.epsilon >= 0):   # NaN fails too
-            raise ValueError("tau and epsilon must be non-negative, not NaN")
+        if not self.tau >= 0:   # NaN fails too
+            raise ValueError("tau must be non-negative, not NaN")
         if not self.visibility_tol > 0:   # NaN fails too
             raise ValueError("visibility_tol must be positive, not NaN")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.m_proposals < 1:
-            raise ValueError("m_proposals must be >= 1")
         object.__setattr__(self, "iou_thresholds", tuple(float(t) for t in self.iou_thresholds))
         object.__setattr__(self, "depth_bands",
                            tuple((float(a), float(b)) for a, b in self.depth_bands))
@@ -65,18 +65,16 @@ class Config:
     def match_config(self) -> MatchConfig:
         return MatchConfig(self.iou_thresholds, self.depth_bands, self.band_names)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "Config":
         raw = json_value(json.loads(text), dict, "config")
-        fields = cls.__dataclass_fields__
-        unknown = set(raw) - set(fields)
+        # fields() leaves out the ClassVar constants: they are no keys
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
-            _check_like(value, fields[key].default, f"config key {key!r}")
+            _check_like(value, defaults[key], f"config key {key!r}")
         for key in ("x_range", "z_range", "iou_thresholds", "band_names"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -101,6 +99,4 @@ def load_config(path) -> Config:
 
 
 def save_config(cfg: Config, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.to_json())
-        fh.write("\n")
+    write_json(path, asdict(cfg))

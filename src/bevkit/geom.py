@@ -229,17 +229,19 @@ def project_point(p, K: CameraIntrinsics) -> Projection:
 
 
 def _project(xyz, K: CameraIntrinsics):
-    """``project_point`` of every point as (z, pixel, in_view) arrays,
-    where pixel is the index vi * width + ui of the nearest lattice pixel
-    (ui = floor(u + 0.5), vi = floor(v + 0.5)); an out-of-view point gets
-    the one extra index width * height, so a per-pixel buffer of
+    """``project_point`` of every point as (z, pixel, n_in_view): pixel
+    is the index vi * width + ui of the nearest lattice pixel (ui =
+    floor(u + 0.5), vi = floor(v + 0.5)) of an in-view point, and the one
+    extra index width * height, the dump pixel, of every other point; the
+    dump pixel is the only out-of-view marker, so a per-pixel buffer of
     width * height + 1 entries takes every point without a gather.
-    Row-parallel: each block of rows writes its slice of the three."""
+    Row-parallel: each block of rows writes its slice of z and pixel and
+    counts its own in-view rows."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     n = xyz.shape[0]
     z = np.empty(n)
     pixel = np.empty(n, dtype=np.int64)
-    in_view = np.empty(n, dtype=bool)
+    n_seen = []
 
     def block(lo, hi):
         # one copy of the strided column serves three passes here and the
@@ -257,7 +259,7 @@ def _project(xyz, K: CameraIntrinsics):
                 f += c
                 f += 0.5              # the nearest lattice pixel (half-up rounding)
                 np.floor(f, out=f)    # kept as floats
-            seen = np.greater(zs, _MIN_DEPTH, out=in_view[lo:hi])
+            seen = zs > _MIN_DEPTH
             seen &= fu >= 0
             seen &= fu < K.width
             seen &= fv >= 0
@@ -268,9 +270,10 @@ def _project(xyz, K: CameraIntrinsics):
         ps = pixel[lo:hi]
         ps.fill(K.width * K.height)
         np.copyto(ps, fv, casting="unsafe", where=seen)
+        n_seen.append(int(np.count_nonzero(seen)))
 
     rows.run_blocks(n, block)
-    return z, pixel, in_view
+    return z, pixel, sum(n_seen)
 
 
 def unproject_pixel(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:

@@ -59,6 +59,13 @@ def json_array(value, name: str, kind: type = float) -> np.ndarray:
     raise ValueError(f"{name} must be {what} in a rectangular list, got {value!r}")
 
 
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def read_json_object(path) -> dict:
     """The JSON object stored in ``path``; any other top-level value is a
     ValueError naming the file."""
@@ -178,11 +185,8 @@ def read_boxes_jsonl(path) -> List[Tuple[int, Box3D]]:
 
 
 def write_intrinsics(path, K: CameraIntrinsics) -> None:
-    d = {"fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy,
-         "width": K.width, "height": K.height}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy,
+                      "width": K.width, "height": K.height})
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
@@ -197,10 +201,7 @@ def read_intrinsics(path) -> CameraIntrinsics:
 
 
 def write_pose(path, pose: Pose) -> None:
-    d = {"R": pose.rotation.reshape(-1).tolist(), "t": pose.translation.tolist()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"R": pose.rotation.reshape(-1).tolist(), "t": pose.translation.tolist()})
 
 
 def read_pose(path) -> Pose:

@@ -124,15 +124,14 @@ def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> 
 
 def unify_stats(pc: PointCloud, K: CameraIntrinsics, tol: float) -> dict:
     """Counts for the unify pipeline: input / out-of-view / occluded / retained."""
-    return _unify_counts(*_visibility_mask(pc, K, tol))
+    return _visibility_mask(pc, K, tol)[1]
 
 
 def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     """``visibility_filter``'s survivors and ``unify_stats``' counts from
     one z-buffer pass; returns (PointCloud, dict)."""
-    survive, in_view = _visibility_mask(pc, K, tol)
-    kept = _compress_rows(survive, pc.points)
-    return PointCloud._of_checked_rows(kept), _unify_counts(survive, in_view)
+    survive, counts = _visibility_mask(pc, K, tol)
+    return PointCloud._of_checked_rows(_compress_rows(survive, pc.points)), counts
 
 
 def _compress_rows(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -148,37 +147,26 @@ def _compress_rows(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
-    """The one z-buffer pass behind every visibility entry point.
+    """The one z-buffer pass behind every visibility entry point: the
+    survivor mask and the unify counts, (survive, counts).
 
     Every point enters the z-buffer: out-of-view points all land in its
-    one extra dump pixel, which no in-view point reads.  The z-buffer's
-    ``minimum.at`` is serial; the survivor test after it is row-parallel."""
+    one extra dump pixel, whose bound is pinned to -inf, below any finite
+    depth, so none of them survives.  The z-buffer's ``minimum.at`` is
+    serial; the survivor test after it is row-parallel."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    z, pixel, in_view = _project(pc.xyz, K)
+    z, pixel, n_in_view = _project(pc.xyz, K)
     minz = np.full(K.width * K.height + 1, np.inf)
     np.minimum.at(minz, pixel, z)
     minz += tol               # once per pixel, not once per point
+    minz[-1] = -np.inf        # the dump pixel: every PointCloud depth is finite
     survive = np.empty(z.size, dtype=bool)
-
-    def block(lo, hi):
-        np.less_equal(z[lo:hi], minz[pixel[lo:hi]], out=survive[lo:hi])
-        survive[lo:hi] &= in_view[lo:hi]
-
-    rows.run_blocks(z.size, block)
-    return survive, in_view
-
-
-def _unify_counts(survive: np.ndarray, in_view: np.ndarray) -> dict:
-    n = survive.size
-    n_out = n - int(np.count_nonzero(in_view))
-    n_kept = int(np.count_nonzero(survive))
-    return {
-        "input": n,
-        "out_of_view": n_out,
-        "occluded": n - n_out - n_kept,
-        "retained": n_kept,
-    }
+    rows.run_blocks(z.size, lambda lo, hi: np.less_equal(
+        z[lo:hi], minz[pixel[lo:hi]], out=survive[lo:hi]))
+    n, n_kept = z.size, int(np.count_nonzero(survive))
+    return survive, {"input": n, "out_of_view": n - n_in_view,
+                     "occluded": n_in_view - n_kept, "retained": n_kept}
 
 
 def pillarize(pc: PointCloud, g: UnevenGridSpec) -> PillarTensor:

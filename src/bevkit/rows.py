@@ -50,13 +50,6 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def capped(requested: int) -> int:
-    """The worker count for a requested count: at most the available cores."""
-    if requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
-    return min(requested, available_cores())
-
-
 class _Pool:
     """The worker count and its lazily started threads, one per part
     after the first."""

@@ -113,7 +113,8 @@ def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution
     h_f, w_f = K.height // ds, K.width // ds
     depth = np.full((h_f, w_f), spec.bev_z_range[1] * 0.95)
     if len(cloud):
-        z, pixel, in_view = _project(cloud.xyz, K)
+        z, pixel, _ = _project(cloud.xyz, K)
+        in_view = pixel < K.width * K.height
         vi, ui = np.divmod(pixel[in_view], K.width)
         fu = np.minimum(ui // ds, w_f - 1)
         fv = np.minimum(vi // ds, h_f - 1)

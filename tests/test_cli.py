@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from bevkit import cli
 from bevkit import io as bio
 from bevkit import rows
 from bevkit.cli import _build_parser, main
@@ -57,6 +58,21 @@ class TestExitCodes:
         assert code == 2
         assert err.strip().splitlines() == ["bevkit: MMPC payload is 16 bytes, expected 32"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+         "bevkit: out of memory: Unable to allocate 745. GiB for an array with shape "
+         "(100000000000,)"),
+        (MemoryError(), "bevkit: out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_returns_two(self, capsys, monkeypatch, tmp_path, error, line):
+        # raised in place of a subcommand: no test allocates a huge array
+        def grid(args, cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_grid", grid)
+        code, stdout, err = run(capsys, "grid", "--out", str(tmp_path / "grid.json"))
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [line]
 
     def test_invalid_value_returns_two(self, capsys, tmp_path, default_k):
         k = tmp_path / "k.json"
@@ -746,14 +762,28 @@ class TestConfig:
         assert err.splitlines() == [f"bevkit: {key} must have lo < hi and a finite span hi - lo"]
         assert stdout == "" and not out.exists()
 
-    @pytest.mark.parametrize("key", ["tau", "epsilon"])
-    def test_nan_threshold_is_a_data_error(self, capsys, tmp_path, key):
+    @pytest.mark.parametrize("key, message", [
+        ("tau", "tau must be non-negative, not NaN"),
+        # a class constant, no config key
+        ("epsilon", "unknown config keys: ['epsilon']")], ids=["tau", "epsilon"])
+    def test_nan_threshold_is_a_data_error(self, capsys, tmp_path, key, message):
         cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
         cfg.write_text(f'{{"{key}": NaN}}')
         code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
         assert code == 2
-        assert err.splitlines() == ["bevkit: tau and epsilon must be non-negative, not NaN"]
+        assert err.splitlines() == [f"bevkit: {message}"]
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("epsilon", 5e-4), ("m_proposals", 100)])
+    def test_constants_are_no_config_keys(self, capsys, tmp_path, key, value):
+        # even at their own values: no subcommand reads them
+        cfg, out = tmp_path / "cfg.json", tmp_path / "grid.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, stdout, err = run(capsys, "--config", str(cfg), "grid", "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"bevkit: unknown config keys: [{key!r}]"]
+        assert stdout == "" and not out.exists()
+        assert getattr(Config(), key) == value
 
     @pytest.mark.parametrize("value", ["NaN", "0.0", "-1.0"])
     def test_non_positive_visibility_tol_is_a_data_error(self, capsys, tmp_path, value):

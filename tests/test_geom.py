@@ -38,6 +38,15 @@ def former_project(xyz, K: CameraIntrinsics):
     return u, v, z, pixel, in_view
 
 
+def assert_former(got, want):
+    """``_project``'s (z, pixel, n_in_view) against ``former_project``'s
+    outputs: z and pixel byte for byte, and the count of its in-view mask."""
+    z, pixel, n_in_view = got
+    _, _, z_want, pixel_want, in_view = want
+    assert [z.tobytes(), pixel.tobytes()] == [z_want.tobytes(), pixel_want.tobytes()]
+    assert n_in_view == int(in_view.sum())
+
+
 # A 16 x 12 camera whose lattice borders are reached at z = 1 by x in
 # [-1.03, 1.03] and y in [-0.76, 0.76].
 PROBE_K = CameraIntrinsics(fx=8.0, fy=8.0, cx=7.5, cy=5.5, width=16, height=12)
@@ -58,9 +67,9 @@ class TestFormerProject:
     def test_matches_the_former_form(self, rows):
         xyz = np.array(rows, dtype=np.float64).reshape(-1, 3)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _, _, *want = former_project(xyz, PROBE_K)
+            want = former_project(xyz, PROBE_K)
         got = _project(xyz, PROBE_K)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert_former(got, want)
 
     def test_pixel_borders_off_a_dyadic_principal_point(self):
         # with such a cx, (a + cx) + 0.5 and a + (cx + 0.5) round to
@@ -72,17 +81,17 @@ class TestFormerProject:
         y = x + (K.cx - K.cy)
         xyz = np.column_stack([np.concatenate([x, np.zeros_like(y)]),
                                np.concatenate([np.zeros_like(x), y]), np.ones(2 * x.size)])
-        _, _, *want = former_project(xyz, K)
+        want = former_project(xyz, K)
         got = _project(xyz, K)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert_former(got, want)
 
     def test_strided_columns_of_a_cloud(self, default_k):
         rng = np.random.default_rng(3)
         points = np.column_stack([rng.uniform(-8, 8, (5000, 2)), rng.uniform(-1, 9, 5000),
                                   np.ones(5000)])
-        _, _, *want = former_project(points[:, :3], default_k)
+        want = former_project(points[:, :3], default_k)
         got = _project(points[:, :3], default_k)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert_former(got, want)
 
 
 class TestProjection:
@@ -110,16 +119,18 @@ class TestProjection:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(100, 3))
         # u and v are checked through the pixel index they round to
-        z, pixel, ok = _project(pts, default_k)
+        z, pixel, n_in_view = _project(pts, default_k)
         w, h = default_k.width, default_k.height
+        n_seen = 0
         for i in range(len(pts)):
             s = project_point(pts[i], default_k)
-            assert ok[i] == s.in_view
             assert z[i] == s.z
             if s.in_view:
+                n_seen += 1
                 assert pixel[i] == np.floor(s.v + 0.5) * w + np.floor(s.u + 0.5)
             else:
                 assert pixel[i] == w * h
+        assert n_in_view == n_seen and 0 < n_seen < len(pts)
 
 
 class TestUnprojection:

@@ -92,6 +92,20 @@ class TestUnifyVisibleOracle:
         assert retained.points.tobytes() == pc.points[1:].tobytes()
         assert stats == {"input": 2, "out_of_view": 1, "occluded": 0, "retained": 1}
 
+    def test_out_of_view_points_sharing_the_dump_pixel_all_drop(self):
+        # off the lattice on all four sides at the in-view points' depth:
+        # all four land in the dump pixel at its minimum depth, and none
+        # of them survives
+        off = [_lattice_point(u, v, 2.0, 1.0)
+               for u, v in ((-1.0, 3.0), (8.5, 1.0), (3.0, -1.5), (4.0, 8.0))]
+        seen = [_lattice_point(3.0, 3.0, 2.0, 1.0), _lattice_point(5.0, 6.0, 2.0, 0.5)]
+        hidden = _lattice_point(3.0, 3.0, 4.0, 1.0)
+        pc = PointCloud([off[0], seen[0], off[1], off[2], hidden, seen[1], off[3]])
+        retained, stats = unify_visible(pc, SMALL_K, 0.1)
+        assert retained.points.tobytes() == pc.points[[1, 5]].tobytes()
+        assert stats == {"input": 7, "out_of_view": 4, "occluded": 1, "retained": 2}
+        assert stats == oracle_counts(pc, SMALL_K, brute_force_visible(pc, SMALL_K, 0.1))
+
 
 def former_depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     """The column_stack formulation this module used before."""

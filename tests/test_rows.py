@@ -41,13 +41,14 @@ GRID = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80)
 
 
 def at_each_pool_size(kernel, *args):
-    """The kernel's outputs as bytes at pool sizes 1, 2 and 3, after
-    checking that all three are equal."""
+    """The kernel's outputs as bytes (a count or a dict of counts as it
+    is) at pool sizes 1, 2 and 3, after checking that all three are equal."""
     outs = []
     for n in POOL_SIZES:
         with rows.worker_count(n):
             out = kernel(*args)
-        outs.append([np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))])
+        outs.append([a if isinstance(a, (int, dict)) else np.asarray(a).tobytes()
+                     for a in (out if isinstance(out, tuple) else (out,))])
     assert outs[1] == outs[0] and outs[2] == outs[0]
     return outs[0]
 
@@ -174,17 +175,6 @@ class TestRunBlocks:
 
 
 class TestWorkerCount:
-    def test_requested_count_is_capped_at_the_available_cores(self):
-        before = threading.active_count()
-        cores = rows.available_cores()
-        assert rows.capped(10**9) == cores
-        assert rows.capped(1) == 1
-        assert rows.capped(cores) == cores
-        for bad in (0, -3):
-            with pytest.raises(ValueError):
-                rows.capped(bad)
-        assert threading.active_count() == before
-
     def test_cli_starts_threads_only_above_one(self, tmp_path):
         # a 640x480 depth frame: 307200 points, enough rows to split
         write_tnsr(tmp_path / "depth.tnsr",
@@ -273,20 +263,24 @@ class TestSplitKernels:
     def test_project(self, n, seed, special_share):
         xyz = camera_points(np.random.default_rng(seed), n, special_share)[:, :3]
         xyz[:: max(1, n // 7), :] = [np.inf, np.nan, 1.0]     # project_point's odd rows
-        z, pixel, in_view = at_each_pool_size(_project, xyz, K)
+        z, pixel, n_in_view = at_each_pool_size(_project, xyz, K)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _, _, *want = former_project(xyz, K)
-        assert [z, pixel, in_view] == [a.tobytes() for a in want]
+            _, _, *want, in_view = former_project(xyz, K)
+        assert [z, pixel] == [a.tobytes() for a in want]
+        assert n_in_view == in_view.sum()
 
     @settings(deadline=None, max_examples=12)
     @given(n=row_counts, seed=st.integers(0, 2**32 - 1),
            special_share=st.sampled_from([0.0, 0.01, 0.3]))
     def test_visibility(self, n, seed, special_share):
         pc = PointCloud(camera_points(np.random.default_rng(seed), n, special_share))
-        survive, in_view = at_each_pool_size(_visibility_mask, pc, K, 0.1)
+        survive, counts = at_each_pool_size(_visibility_mask, pc, K, 0.1)
         kept = at_each_pool_size(lambda: unify_visible(pc, K, 0.1)[0].points)
         want = np.frombuffer(survive, dtype=bool)
         assert kept[0] == np.compress(want, pc.points, axis=0).tobytes()
+        n_seen, n_kept = int(former_project(pc.xyz, K)[4].sum()), int(want.sum())
+        assert counts == {"input": n, "out_of_view": n - n_seen,
+                          "occluded": n_seen - n_kept, "retained": n_kept}
 
     @settings(deadline=None, max_examples=12)
     @given(h=st.sampled_from([205, 206, 307, 308, 409, 410]), w=st.sampled_from([640, 641, 1021]),
