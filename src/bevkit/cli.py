@@ -191,9 +191,9 @@ def _losses_daln(args, cfg: Config) -> int:
             worst = max(worst, float(np.max(np.abs(out - ref))))
         print(f"max |daln - layer_norm| at init: {worst:.3e}")
         return 0
-    d = bio.read_json_object(args.input)
-    alphas, betas, x, confidence = (bio.json_array(d[k], k)
-                                    for k in ("alphas", "betas", "x", "confidence"))
+    keys = ("alphas", "betas", "x", "confidence")
+    d = bio.read_json_object(args.input, keys)
+    alphas, betas, x, confidence = (bio.json_array(d[k], k) for k in keys)
     out = daln(x, DalnParams(alphas, betas), confidence)
     if args.out:
         bio.write_json(args.out, {"output": out.tolist()})
@@ -209,7 +209,8 @@ def _dataset_id(key: str) -> int:
 
 
 def _losses_calign(args, cfg: Config) -> int:
-    d = bio.read_json_object(args.input)
+    d = bio.read_json_object(args.input, ("spaces", "background", "losses", "predicted",
+                                          "labels", "dataset"))
     if "gamma" in d:
         raise ValueError(f"{args.input}: key 'gamma' is not read here; "
                          "set gamma in the --config file")

@@ -79,6 +79,9 @@ class Config:
             if key in raw:
                 raw[key] = tuple(raw[key])
         if "depth_bands" in raw:
+            for i, band in enumerate(raw["depth_bands"]):
+                if len(band) != 2:
+                    raise ValueError(f"config key 'depth_bands'[{i}] must be a (lo, hi) pair")
             raw["depth_bands"] = tuple(tuple(b) for b in raw["depth_bands"])
         return cls(**raw)
 

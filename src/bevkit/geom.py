@@ -241,7 +241,6 @@ def _project(xyz, K: CameraIntrinsics):
     n = xyz.shape[0]
     z = np.empty(n)
     pixel = np.empty(n, dtype=np.int64)
-    n_seen = []
 
     def block(lo, hi):
         # one copy of the strided column serves three passes here and the
@@ -270,10 +269,9 @@ def _project(xyz, K: CameraIntrinsics):
         ps = pixel[lo:hi]
         ps.fill(K.width * K.height)
         np.copyto(ps, fv, casting="unsafe", where=seen)
-        n_seen.append(int(np.count_nonzero(seen)))
+        return int(np.count_nonzero(seen))
 
-    rows.run_blocks(n, block)
-    return z, pixel, sum(n_seen)
+    return z, pixel, sum(rows.run_blocks(n, block))
 
 
 def unproject_pixel(u: float, v: float, z: float, K: CameraIntrinsics) -> np.ndarray:
@@ -295,7 +293,6 @@ def transform_cloud(pc: PointCloud, pose: Pose) -> PointCloud:
         return pc
     moved = np.empty_like(pc.points)
     rot_t = pose.rotation.T
-    finite = []
 
     def block(lo, hi):
         rows_out = moved[lo:hi]
@@ -303,8 +300,8 @@ def transform_cloud(pc: PointCloud, pose: Pose) -> PointCloud:
         for k in range(3):
             rows_out[:, k] += pose.translation[k]
         rows_out[:, 3] = pc.points[lo:hi, 3]
-        finite.append(bool(np.isfinite(rows_out).all()))
+        return bool(np.isfinite(rows_out).all())
 
-    rows.run_blocks(len(pc), block)
+    finite = all(rows.run_blocks(len(pc), block))
     # a product that overflowed fails PointCloud's own check
-    return PointCloud._of_checked_rows(moved) if all(finite) else PointCloud(moved)
+    return PointCloud._of_checked_rows(moved) if finite else PointCloud(moved)

@@ -66,11 +66,16 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def read_json_object(path) -> dict:
-    """The JSON object stored in ``path``; any other top-level value is a
-    ValueError naming the file."""
+def read_json_object(path, keys: Sequence[str] = ()) -> dict:
+    """The JSON object stored in ``path``, holding at least ``keys``; any
+    other top-level value, or a missing key, is a ValueError naming the
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json_value(json.load(fh), dict, f"{path}: top level")
+        d = json_value(json.load(fh), dict, f"{path}: top level")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    return d
 
 
 def write_mmpc(path, pc: PointCloud) -> None:
@@ -190,7 +195,7 @@ def write_intrinsics(path, K: CameraIntrinsics) -> None:
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
-    d = read_json_object(path)
+    d = read_json_object(path, ("fx", "fy", "cx", "cy", "width", "height"))
     try:
         return CameraIntrinsics(
             **{k: json_value(d[k], float, k) for k in ("fx", "fy", "cx", "cy")},
@@ -205,7 +210,7 @@ def write_pose(path, pose: Pose) -> None:
 
 
 def read_pose(path) -> Pose:
-    d = read_json_object(path)
+    d = read_json_object(path, ("R", "t"))
     try:
         return Pose(json_array(d["R"], "R").reshape(3, 3), json_array(d["t"], "t"))
     except ValueError as exc:

@@ -84,7 +84,6 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
     u = np.arange(w) - K.cx
     v = (np.arange(dm.height) - K.cy)[:, None]
     points = np.empty(z.shape + (4,))
-    finite = []
 
     def block(lo, hi):
         r = slice(lo // w, hi // w)
@@ -99,16 +98,16 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
             pr[..., 1] /= K.fy
         pr[..., 2] = zr
         pr[..., 3] = 1.0
-        finite.append(bool(np.isfinite(pr).all()))
+        return bool(np.isfinite(pr).all())
 
-    rows.run_blocks(z.size, block, quantum=w)
+    finite = all(rows.run_blocks(z.size, block, quantum=w))
     points = points.reshape(-1, 4)
     valid = z > 0
     valid &= z < np.inf      # NaN fails both tests
     if not valid.all():
         return PointCloud(_compress_rows(valid.reshape(-1), points))
     # a point that overflowed fails PointCloud's own check
-    return PointCloud._of_checked_rows(points) if all(finite) else PointCloud(points)
+    return PointCloud._of_checked_rows(points) if finite else PointCloud(points)
 
 
 def visibility_filter(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1) -> PointCloud:

@@ -1,15 +1,14 @@
-"""Row-parallel point kernels: the rows [0, n) of one call split into
-contiguous parts, one per worker thread.
+"""Row-parallel point kernels: the rows [0, n) of one call cut into fixed
+blocks, which the calling thread and pool helpers take from one queue.
 
 The point kernels (unprojection, rigid transform, projection, the
 visibility survivor test and row compress, BEV cell lookup) are chains of
 elementwise numpy passes, and numpy releases the interpreter lock inside
-each pass.  ``run_blocks(n, block)`` runs ``block(lo, hi)`` over the rows
-in blocks: the calling thread takes the first part's blocks and a
-persistent pool the other parts', and it returns, or re-raises an error,
-only after every part has finished.  An elementwise pass gives each row
-the same bits on any split, so every output is independent of the worker
-count; accumulations whose order is their bits (the z-buffer's
+each pass.  ``run_blocks(n, block)`` runs ``block(lo, hi)`` over
+consecutive blocks of the rows and returns the blocks' results in block
+order.  The blocks depend only on n and the kernel's quantum, never on
+the worker count, so an elementwise pass gives each row the bits of the
+serial run; accumulations whose order is their bits (the z-buffer's
 ``minimum.at``, the pillar sums, the splat, the evaluation) stay serial.
 
 A block writes into arrays its kernel allocated once, through ``out=``
@@ -19,9 +18,10 @@ malloc arena, whose freed memory stays resident.
 
 The worker count is process-wide, like the kernels that read it: by
 default the cores this process may run on, else what ``worker_count``
-sets.  A call from a pool thread (a block's, or a task's submitted to
-the pool) runs serially: the parts it queued would wait behind the very
-thread that waits for them, forever with one pool thread.
+sets.  The caller drains the queue itself, then cancels every helper that
+has not started and waits only on those that have, so a call from a pool
+thread (a block's, or a task's submitted to the pool) never waits on work
+queued behind it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ import os
 import threading
 from contextlib import contextmanager
 
-# A call splits only when each part gets at least MIN_ROWS rows: a 100k
-# point cloud stays on one core, where two parts of 50k rows measured
-# slower than one, and a 307k point depth frame takes two.
+# A call takes a pool helper for each MIN_ROWS rows past the first
+# MIN_ROWS: a 100k point cloud stays on one core, where two threads on
+# 50k rows each measured slower than one, and a 307k point depth frame
+# takes up to four threads.
 MIN_ROWS = 1 << 16
-# Part boundaries fall on multiples of QUANTUM rows, so each part but the
-# last holds whole blocks of any BLAS row blocking up to that size.
-QUANTUM = 1 << 12
-# A part runs its rows in blocks of BLOCK_ROWS, so that the few arrays a
-# chain of passes over one block allocates stay in cache and are small.
+# Rows run in blocks of BLOCK_ROWS, so that the few arrays a chain of
+# passes over one block allocates stay in cache and are small.
 BLOCK_ROWS = 1 << 14
 
 
@@ -51,8 +49,8 @@ def available_cores() -> int:
 
 
 class _Pool:
-    """The worker count and its lazily started threads, one per part
-    after the first."""
+    """The worker count and its lazily started helper threads, one per
+    worker after the first."""
 
     def __init__(self):
         self.workers = available_cores()
@@ -71,22 +69,14 @@ class _Pool:
                 if self.executor is not None:
                     self.executor.shutdown(wait=True)
                 self.executor = ThreadPoolExecutor(workers - 1,
-                                                   thread_name_prefix="bevkit-rows",
-                                                   initializer=_mark_pool_thread)
+                                                   thread_name_prefix="bevkit-rows")
                 self.threads = workers - 1
             return self.executor
 
 
-_ON_POOL = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _ON_POOL.thread = True
-
-
 _POOL = _Pool()
 # the parent's threads do not exist in a forked child, and a pool that
-# believes they do would queue parts that no thread runs
+# believes they do would queue helpers that no thread runs
 os.register_at_fork(after_in_child=_POOL.forget_threads)
 
 
@@ -103,49 +93,46 @@ def worker_count(n: int):
         _POOL.workers = before
 
 
-def part_bounds(n: int, workers: int, quantum: int = QUANTUM) -> list:
-    """(lo, hi) of each part of [0, n): as many parts as workers, but none
-    under MIN_ROWS rows, and every inner boundary a multiple of quantum;
-    what rounding leaves over falls to the first part, the caller's, and
-    the last."""
-    parts = workers
-    while parts > 1 and n // parts // quantum * quantum < MIN_ROWS:
-        parts -= 1
-    size = n // parts // quantum * quantum
-    top = n // quantum * quantum
-    cuts = [0] + [top - (parts - i) * size for i in range(1, parts)] + [n]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def run_blocks(n: int, block, quantum: int = QUANTUM) -> None:
-    """``block(lo, hi)`` over [0, n) in consecutive blocks of BLOCK_ROWS
-    rows (rounded to quantum; a part's last block up to twice that), each
-    part's blocks in order on one thread; every boundary but n a multiple
-    of quantum.  Returns once every part has finished, re-raising the
-    caller's error or else the first worker's.  On a pool thread the rows
-    are one part."""
-    n_workers = _POOL.workers
+def run_blocks(n: int, block, quantum: int = 1) -> list:
+    """``[block(lo, hi), ...]`` over [0, n) in consecutive blocks of
+    BLOCK_ROWS rows rounded down to a multiple of quantum, the last block
+    up to twice that; every boundary but n a multiple of quantum.  The
+    caller and up to ``min(workers, n // MIN_ROWS) - 1`` pool helpers run
+    the blocks.  Returns once every started block has finished,
+    re-raising the caller's error or else the first helper's."""
     step = max(quantum, BLOCK_ROWS // quantum * quantum)
+    # the last block also takes the rows short of a whole one, so that no
+    # block is a sliver: a one-row product takes another BLAS path, with
+    # other bits
+    starts = range(0, n, step)[:max(1, n // step)]
+    bounds = list(zip(starts, [*starts[1:], n]))
+    n_workers = _POOL.workers
+    helpers = min(n_workers, n // MIN_ROWS) - 1
+    if helpers < 1:
+        return [block(lo, hi) for lo, hi in bounds]
+    import queue
 
-    def part(lo, hi):
-        # a part's last block also takes the rows short of a whole one, so
-        # that no block is a sliver: a one-row product takes another BLAS
-        # path, with other bits
-        cuts = [lo + i * step for i in range(max(1, (hi - lo) // step))] + [hi]
-        for b, e in zip(cuts[:-1], cuts[1:]):
-            if e > b:
-                block(b, e)
+    todo, results = queue.SimpleQueue(), [None] * len(bounds)
+    for i in range(len(bounds)):
+        todo.put(i)
 
-    bounds = part_bounds(n, n_workers, quantum)
-    if len(bounds) == 1 or getattr(_ON_POOL, "thread", False):
-        part(0, n)
-        return
+    def drain():
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = block(*bounds[i])
+
     executor = _POOL.executor_for(n_workers)
-    futures = [executor.submit(part, lo, hi) for lo, hi in bounds[1:]]
+    futures = [executor.submit(drain) for _ in range(helpers)]
     try:
-        part(*bounds[0])
+        drain()
     finally:
-        for f in futures:
+        # a helper still queued, maybe behind this very thread, runs nothing
+        started = [f for f in futures if not f.cancel()]
+        for f in started:
             f.exception()     # waits, and raises nothing
-    for f in futures:
+    for f in started:
         f.result()
+    return results

@@ -34,6 +34,10 @@ def scene_dir(tmp_path):
     return out
 
 
+# a value that drops its key from a file
+DROP = object()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -130,10 +134,18 @@ class TestExitCodes:
         ("calign", "spaces", {"spaces": [1]}),
         ("pose", "bad.json: bad pose", {"R": [1]}),
         ("calign", "spaces keys must be integer dataset ids, got 'x'", {"spaces": {"x": [1]}}),
+        # a missing key, named with the file
+        ("daln", "bad.json: missing key 'confidence'", {"confidence": DROP}),
+        ("calign", "bad.json: missing key 'losses'", {"losses": DROP}),
+        ("intrinsics", "bad.json: missing key 'height'", {"height": DROP}),
+        ("pose", "bad.json: missing key 't'", {"t": DROP}),
+        ("config", "config key 'depth_bands'[1] must be a (lo, hi) pair",
+         {"depth_bands": [[0, 10], [10, 20, 30]]}),
     ])
     def test_malformed_json_is_a_data_error(self, capsys, tmp_path, scene_dir, case, key,
                                             change):
-        # one key of a valid file gets a wrong-typed value (a list replaces the file)
+        # one key of a valid file gets a wrong-typed value or is dropped
+        # (a list replaces the file)
         valid = {
             "config": {},
             "boxes": json.loads((scene_dir / "boxes.jsonl").read_text().splitlines()[0]),
@@ -141,9 +153,12 @@ class TestExitCodes:
             "calign": {"spaces": {"0": [1]}, "background": 0, "losses": [1.0],
                        "predicted": [1], "labels": [0], "dataset": 0},
             "pose": {"R": np.eye(3).ravel().tolist(), "t": [0.0, 0.0, 0.0]},
+            "daln": {"x": [1.0, 2.0, 3.0], "alphas": [1.0], "betas": [0.0], "confidence": [1.0]},
         }[case]
         bad, out, pred = tmp_path / "bad.json", tmp_path / "out", tmp_path / "pred.jsonl"
-        bad.write_text(json.dumps({**valid, **change} if isinstance(change, dict) else change))
+        if isinstance(change, dict):
+            change = {k: v for k, v in {**valid, **change}.items() if v is not DROP}
+        bad.write_text(json.dumps(change))
         bio.write_boxes_jsonl(pred, [Box3D(b.center, b.dims, b.rotation, b.category, 0.5)
                                      for _, b in bio.read_boxes_jsonl(scene_dir / "boxes.jsonl")])
         argv = {
@@ -152,6 +167,7 @@ class TestExitCodes:
             "intrinsics": ["unify", "--in", str(scene_dir / "cloud.mmpc"),
                            "--intrinsics", str(bad), "--out", str(out)],
             "calign": ["losses", "calign", "--input", str(bad), "--out", str(out)],
+            "daln": ["losses", "daln", "--input", str(bad), "--out", str(out)],
             "pose": ["unify", "--in", str(scene_dir / "cloud.mmpc"), "--intrinsics",
                      str(scene_dir / "intrinsics.json"), "--pose", str(bad), "--out", str(out)],
         }[case]

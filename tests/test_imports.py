@@ -1,16 +1,20 @@
 """What a fresh interpreter loads: ``import bevkit`` and the subcommands that
 run no sparse product load no scipy; the two products load scipy.sparse at
-their first call."""
+their first call.  No thread machinery loads before a kernel takes a pool
+helper."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bevkit import io as bio
+from bevkit import rows
 from bevkit.cli import main
+from bevkit.geom import CameraIntrinsics
 from bevkit.synth import SceneSpec, generate, perturb
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -73,3 +77,27 @@ def test_subcommand_runs_without_scipy(scene, argv):
     out = run_python(code, *(a.format(root=scene) for a in argv))
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+def test_one_thread_loads_no_thread_machinery(tmp_path):
+    # a 640x480 depth frame: 307200 points, enough rows for a pool helper
+    K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    bio.write_tnsr(tmp_path / "depth.tnsr",
+                   np.random.default_rng(4).uniform(0.5, 8.0, (1, 1, K.height, K.width)))
+    bio.write_intrinsics(tmp_path / "k.json", K)
+    loaded = "print([m for m in ('queue', 'concurrent.futures') if m in sys.modules])\n"
+    code = ("import sys, bevkit\n" + loaded +
+            "from bevkit.cli import main\n"
+            "code = main(sys.argv[1:])\n" + loaded +
+            "sys.exit(code)\n")
+    for threads in (1, 2):
+        out = run_python(code, "--threads", str(threads), "unify",
+                         "--in", str(tmp_path / "depth.tnsr"),
+                         "--intrinsics", str(tmp_path / "k.json"),
+                         "--out", str(tmp_path / "unified.mmpc"))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "[]"
+        # two threads do load it, so the probe can see it
+        split = threads > 1 and rows.available_cores() > 1
+        assert lines[-1] == ("['queue', 'concurrent.futures']" if split else "[]")

@@ -1,8 +1,8 @@
-"""Row-parallel point kernels: the split itself, its errors, its pool, and
+"""Row-parallel point kernels: the blocks, their errors, their pool, and
 every split kernel byte-identical at pool sizes 1, 2 and 3.
 
-The kernel properties draw their row counts around the split thresholds
-(MIN_ROWS * k +- 1 and odd primes near them) and around the quantum, and
+The kernel properties draw their row counts around the helper thresholds
+(MIN_ROWS * k +- 1 and odd primes near them) and around whole blocks, and
 their inputs from a seed, with the rows a kernel treats apart (behind the
 camera, off the image lattice, off the grid, NaN and inf) mixed in.
 """
@@ -28,14 +28,14 @@ from test_grid import former_cells_of
 from test_imports import run_python
 from test_pointpipe import _rotation, former_depthmap_to_cloud
 
-M, Q = rows.MIN_ROWS, rows.QUANTUM
+M, B = rows.MIN_ROWS, rows.BLOCK_ROWS
 POOL_SIZES = (1, 2, 3)
-# one, two, three and four parts' worth of rows, one either side
+# one, two, three and four threads' worth of rows, one either side
 THRESHOLD_COUNTS = [M * k + d for k in (1, 2, 3, 4) for d in (-1, 1)]
 ODD_PRIMES = [131071, 131101, 196597, 196613, 262127, 262133]
-# across quantum multiples near the two- and three-part thresholds
-QUANTUM_COUNTS = [k * M + j * Q + d for k in (2, 3) for j in (1, 2) for d in (-1, 0, 1)]
-row_counts = st.sampled_from(THRESHOLD_COUNTS + ODD_PRIMES + QUANTUM_COUNTS)
+# across whole blocks near the two- and three-thread thresholds
+BLOCK_COUNTS = [k * M + j * B + d for k in (2, 3) for j in (1, 2) for d in (-1, 0, 1)]
+row_counts = st.sampled_from(THRESHOLD_COUNTS + ODD_PRIMES + BLOCK_COUNTS)
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 GRID = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80)
 
@@ -70,28 +70,44 @@ def camera_points(rng, n, special_share):
     return np.column_stack([xyz, rng.uniform(size=n)])
 
 
-class TestPartBounds:
+class TestBlocks:
     @settings(deadline=None, max_examples=300)
-    @given(n=st.one_of(st.integers(0, 10 * M), row_counts), workers=st.integers(1, 8),
-           quantum=st.sampled_from([Q, 1, 640, 1021]))
-    def test_parts_tile_the_rows(self, n, workers, quantum):
-        bounds = rows.part_bounds(n, workers, quantum)
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        assert 1 <= len(bounds) <= workers
-        if len(bounds) > 1:
-            assert all(hi - lo >= M for lo, hi in bounds)
-            assert all(lo % quantum == 0 for lo, _ in bounds)
-        # one part fewer would not have been needed
-        more = len(bounds) + 1
-        assert more > workers or n // more // quantum * quantum < M
+    @given(n=st.one_of(st.integers(0, 10 * M), row_counts), workers=st.sampled_from(POOL_SIZES),
+           quantum=st.sampled_from([1, 640, 1021, 4096]))
+    def test_blocks_tile_the_rows(self, n, workers, quantum):
+        with rows.worker_count(workers):
+            blocks = rows.run_blocks(n, lambda lo, hi: (lo, hi), quantum)
+        # contiguous from 0 to n, none empty, every boundary but n on the quantum
+        assert [0] + [hi for _, hi in blocks] == [lo for lo, _ in blocks] + [n]
+        assert all(hi > lo and lo % quantum == 0 for lo, hi in blocks)
+        step = max(quantum, B // quantum * quantum)
+        if n >= step:
+            assert all(step <= hi - lo < 2 * step for lo, hi in blocks)
+        else:
+            assert len(blocks) == (n > 0)
+
+    @pytest.mark.parametrize("workers", POOL_SIZES)
+    def test_results_come_in_block_order(self, workers):
+        for n in THRESHOLD_COUNTS:
+            with rows.worker_count(workers):
+                assert rows.run_blocks(n, lambda lo, hi: lo) == [i * B for i in range(n // B)]
 
     def test_thresholds(self):
-        assert len(rows.part_bounds(2 * M - 1, 2)) == 1
-        assert len(rows.part_bounds(2 * M + 1, 2)) == 2
-        assert len(rows.part_bounds(3 * M + 1, 3)) == 3
-        assert len(rows.part_bounds(3 * M + 1, 2)) == 2
-        assert len(rows.part_bounds(100_000, 2)) == 1   # an outdoor cloud stays serial
+        for n, workers, threads in [(2 * M - 1, 2, 1), (2 * M + 1, 2, 2), (3 * M + 1, 3, 3),
+                                    (3 * M + 1, 2, 2),
+                                    (100_000, 2, 1)]:   # an outdoor cloud stays serial
+            # the first blocks wait for each other, which only as many
+            # threads running at once can do
+            barrier, seen = threading.Barrier(threads, timeout=10), set()
+
+            def block(lo, hi):
+                if lo < threads * B:
+                    barrier.wait()
+                seen.add(threading.get_ident())
+
+            with rows.worker_count(workers):
+                rows.run_blocks(n, block)
+            assert len(seen) == threads and (threads > 1 or seen == {threading.get_ident()})
 
 
 class TestRunBlocks:
@@ -102,9 +118,8 @@ class TestRunBlocks:
         seen.sort()
         assert seen[0][0] == 0 and seen[-1][1] == 3 * M + 12345
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-        assert all(lo % Q == 0 for lo, _ in seen)
-        # whole blocks, each part's last one also taking the remainder
-        assert all(rows.BLOCK_ROWS <= hi - lo < 2 * rows.BLOCK_ROWS for lo, hi in seen)
+        # whole blocks, the last one also taking the remainder
+        assert all(B <= hi - lo < 2 * B for lo, hi in seen)
 
     def test_serial_below_the_threshold_runs_on_the_caller(self):
         threads = set()
@@ -112,13 +127,15 @@ class TestRunBlocks:
             rows.run_blocks(2 * M - 1, lambda lo, hi: threads.add(threading.get_ident()))
         assert threads == {threading.get_ident()}
 
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_an_error_surfaces_after_every_part_has_finished(self, failing):
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_an_error_surfaces_after_every_started_block_has_finished(self, failing):
         n = 3 * M + 1
-        failing_lo = 0 if failing == "caller" else rows.part_bounds(n, 3)[-1][0]
-        finished = []
+        starts = list(range(0, n - B + 1, B))
+        failing_lo = starts[0] if failing == "first" else starts[-1]
+        started, finished = [], []
 
         def block(lo, hi):
+            started.append(lo)
             if lo == failing_lo:
                 raise KeyError(lo)
             time.sleep(0.02)
@@ -126,11 +143,13 @@ class TestRunBlocks:
 
         with rows.worker_count(3), pytest.raises(KeyError) as err:
             rows.run_blocks(n, block)
-        # the failing part stops at its first block, and every other part
-        # ran to its end before the error surfaced
         assert err.value.args == (failing_lo,)
-        assert sorted(finished) == [b for lo, hi in rows.part_bounds(n, 3) if lo != failing_lo
-                                    for b in range(lo, hi - rows.BLOCK_ROWS + 1, rows.BLOCK_ROWS)]
+        n_started = len(started)
+        assert sorted(finished) == sorted(set(started) - {failing_lo})
+        if failing == "last":      # taken last, so after every other block
+            assert sorted(started) == starts
+        time.sleep(0.1)
+        assert len(started) == n_started     # no block starts after the return
 
     def test_more_workers_than_cores_under_fast_switching(self):
         # every block runs once and every output row is written once, also
@@ -153,15 +172,14 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_pool_task_runs_serially(self, workers):
-        # a task on the pool that split would queue its parts behind itself
-        # and, with one pool thread, wait for them forever: the task runs in
-        # a forked child, which the timeout ends
+    def test_a_pool_task_finishes(self, workers):
+        # a task on the pool queues helpers behind itself and, with one
+        # pool thread, would wait for them forever if it did not cancel
+        # them: the task runs in a forked child, which the timeout ends
         n = 3 * M + 1
-        assert len(rows.part_bounds(n, workers)) == workers
         with rows.worker_count(1):
             want = cells_of(*pool_task_columns(n), GRID).tobytes()
-        assert in_forked_child(_child_pool_task, workers, n) == (True, want)
+        assert in_forked_child(_child_pool_task, workers, n) == want
 
     def test_worker_count_is_restored(self):
         before = rows._POOL.workers
@@ -225,16 +243,9 @@ def pool_task_columns(n):
 
 def _child_pool_task(conn, workers, n):
     x, z = pool_task_columns(n)
-
-    def task():
-        threads = set()
-        rows.run_blocks(n, lambda lo, hi: threads.add(threading.get_ident()))
-        return threading.get_ident(), threads, cells_of(x, z, GRID).tobytes()
-
     with rows.worker_count(workers):
-        ident, threads, cells = rows._POOL.executor_for(workers).submit(task).result()
-    # every block of the task's own split ran on the task's pool thread
-    conn.send((ident != threading.get_ident() and threads == {ident}, cells))
+        cells = rows._POOL.executor_for(workers).submit(cells_of, x, z, GRID).result()
+    conn.send(cells.tobytes())
     conn.close()
 
 
@@ -322,7 +333,7 @@ class TestSplitKernels:
     def test_cells_of_with_a_dump_cell(self, cell_oracle):
         # pillarize's form: off-grid and non-finite rows take the cell
         # n_cells, marked in the split blocks; cells_of keeps OUT_OF_RANGE
-        n = 3 * M + 1     # split in two parts at 2 workers, three at 3
+        n = 3 * M + 1     # on two threads at 2 workers, three at 3
         rng = np.random.default_rng(n)
         x, z = rng.uniform(-40.0, 90.0, (2, n))     # a share off the grid on each axis
         special = np.flatnonzero(rng.uniform(size=n) < 0.05)
