@@ -100,7 +100,10 @@ def read_mmpc(path) -> PointCloud:
     if len(raw) != expected:
         raise ValueError(f"MMPC payload is {len(raw)} bytes, expected {expected}")
     pts = np.frombuffer(raw, dtype="<f4").reshape(count, 4)
-    return PointCloud(pts.astype(np.float64))
+    # a signalling NaN warns as it widens; PointCloud refuses it all the same
+    with np.errstate(invalid="ignore"):
+        pts = pts.astype(np.float64)
+    return PointCloud(pts)
 
 
 def write_tnsr(path, tensor) -> None:

@@ -1,5 +1,6 @@
 """Row-parallel point kernels: the rows [0, n) of one call cut into fixed
-blocks, which the calling thread and pool helpers take from one queue.
+blocks, which the calling thread and helper threads started for the call
+take from one queue.
 
 The point kernels (unprojection, rigid transform, projection, the
 visibility survivor test and row compress, BEV cell lookup) are chains of
@@ -13,15 +14,15 @@ serial run; accumulations whose order is their bits (the z-buffer's
 
 A block writes into arrays its kernel allocated once, through ``out=``
 or slice assignment, and allocates only block-sized temporaries: a
-temporary allocated in a worker thread comes from that thread's own
+temporary allocated in a helper thread comes from that thread's own
 malloc arena, whose freed memory stays resident.
 
 The worker count is process-wide, like the kernels that read it: by
 default the cores this process may run on, else what ``worker_count``
-sets.  The caller drains the queue itself, then cancels every helper that
-has not started and waits only on those that have, so a call from a pool
-thread (a block's, or a task's submitted to the pool) never waits on work
-queued behind it.
+sets.  There is no pool: a call starts its own helpers and joins every
+one before it returns or raises, so no helper outlives its call, a call
+from any thread (a block's included) waits only on helpers of its own,
+and a forked child inherits no helper.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import os
 import threading
 from contextlib import contextmanager
 
-# A call takes a pool helper for each MIN_ROWS rows past the first
-# MIN_ROWS: a 100k point cloud stays on one core, where two threads on
-# 50k rows each measured slower than one, and a 307k point depth frame
-# takes up to four threads.
+# A call starts a helper for each MIN_ROWS rows past the first MIN_ROWS:
+# a 100k point cloud stays on one core, where two threads on 50k rows
+# each measured slower than one, and a 307k point depth frame takes up
+# to four threads.
 MIN_ROWS = 1 << 16
 # Rows run in blocks of BLOCK_ROWS, so that the few arrays a chain of
 # passes over one block allocates stay in cache and are small.
@@ -48,71 +49,43 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-class _Pool:
-    """The worker count and its lazily started helper threads, one per
-    worker after the first."""
-
-    def __init__(self):
-        self.workers = available_cores()
-        self.forget_threads()
-
-    def forget_threads(self) -> None:
-        self.lock = threading.Lock()
-        self.executor, self.threads = None, 0
-
-    def executor_for(self, workers: int):
-        # imported on first use: import bevkit loads no thread machinery
-        from concurrent.futures import ThreadPoolExecutor
-
-        with self.lock:
-            if self.threads != workers - 1:
-                if self.executor is not None:
-                    self.executor.shutdown(wait=True)
-                self.executor = ThreadPoolExecutor(workers - 1,
-                                                   thread_name_prefix="bevkit-rows")
-                self.threads = workers - 1
-            return self.executor
-
-
-_POOL = _Pool()
-# the parent's threads do not exist in a forked child, and a pool that
-# believes they do would queue helpers that no thread runs
-os.register_at_fork(after_in_child=_POOL.forget_threads)
+_workers = available_cores()
 
 
 @contextmanager
 def worker_count(n: int):
     """Run the kernels inside the with-statement on exactly ``n`` workers
     (1 starts no thread), then restore the previous count."""
+    global _workers
     if n < 1:
         raise ValueError(f"worker count must be >= 1, got {n}")
-    before, _POOL.workers = _POOL.workers, n
+    before, _workers = _workers, n
     try:
         yield
     finally:
-        _POOL.workers = before
+        _workers = before
 
 
 def run_blocks(n: int, block, quantum: int = 1) -> list:
     """``[block(lo, hi), ...]`` over [0, n) in consecutive blocks of
     BLOCK_ROWS rows rounded down to a multiple of quantum, the last block
     up to twice that; every boundary but n a multiple of quantum.  The
-    caller and up to ``min(workers, n // MIN_ROWS) - 1`` pool helpers run
-    the blocks.  Returns once every started block has finished,
-    re-raising the caller's error or else the first helper's."""
+    caller and ``min(workers, n // MIN_ROWS) - 1`` helper threads run the
+    blocks.  Returns once every helper has finished, re-raising the
+    caller's error or else the first helper's."""
     step = max(quantum, BLOCK_ROWS // quantum * quantum)
     # the last block also takes the rows short of a whole one, so that no
     # block is a sliver: a one-row product takes another BLAS path, with
     # other bits
     starts = range(0, n, step)[:max(1, n // step)]
     bounds = list(zip(starts, [*starts[1:], n]))
-    n_workers = _POOL.workers
-    helpers = min(n_workers, n // MIN_ROWS) - 1
+    helpers = min(_workers, n // MIN_ROWS) - 1
     if helpers < 1:
         return [block(lo, hi) for lo, hi in bounds]
+    # imported on first use: import bevkit loads no queue
     import queue
 
-    todo, results = queue.SimpleQueue(), [None] * len(bounds)
+    todo, results, errors = queue.SimpleQueue(), [None] * len(bounds), []
     for i in range(len(bounds)):
         todo.put(i)
 
@@ -124,15 +97,22 @@ def run_blocks(n: int, block, quantum: int = 1) -> list:
                 return
             results[i] = block(*bounds[i])
 
-    executor = _POOL.executor_for(n_workers)
-    futures = [executor.submit(drain) for _ in range(helpers)]
+    def helper():
+        try:
+            drain()
+        except BaseException as err:
+            errors.append(err)
+
+    threads = []
     try:
+        for _ in range(helpers):
+            t = threading.Thread(target=helper, name="bevkit-rows")
+            t.start()
+            threads.append(t)
         drain()
     finally:
-        # a helper still queued, maybe behind this very thread, runs nothing
-        started = [f for f in futures if not f.cancel()]
-        for f in started:
-            f.exception()     # waits, and raises nothing
-    for f in started:
-        f.result()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return results

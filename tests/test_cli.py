@@ -245,6 +245,19 @@ class TestMalformedFiles:
         points.flat[data.draw(st.integers(0, points.size - 1))] = value
         assert_one_line_data_error(malformed_dir, mmpc_bytes(points))
 
+    @pytest.mark.parametrize("bits", [0x7F800001, 0xFF800001, 0x7FC00000, 0x7F800000],
+                             ids=["signalling-nan", "negative-signalling-nan", "quiet-nan",
+                                  "inf"])
+    def test_non_finite_mmpc_bits(self, malformed_dir, bits):
+        # widening a signalling NaN to float64 raises numpy's invalid-cast
+        # warning, which would print two lines ahead of the data error
+        points = np.ones((3, 4), dtype="<f4")
+        points.view("<u4")[1, 1] = bits
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_one_line_data_error(malformed_dir, mmpc_bytes(points))
+        assert caught == []
+
     @settings(deadline=None, max_examples=100)
     @given(st.one_of(
         st.lists(st.integers(0, 3), max_size=6).filter(lambda s: len(s) != 4),

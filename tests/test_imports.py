@@ -1,7 +1,7 @@
 """What a fresh interpreter loads: ``import bevkit`` and the subcommands that
 run no sparse product load no scipy; the two products load scipy.sparse at
-their first call.  No thread machinery loads before a kernel takes a pool
-helper."""
+their first call.  No queue loads before a kernel starts a helper thread,
+and no thread pool loads at all."""
 
 import os
 import subprocess
@@ -80,7 +80,7 @@ def test_subcommand_runs_without_scipy(scene, argv):
 
 
 def test_one_thread_loads_no_thread_machinery(tmp_path):
-    # a 640x480 depth frame: 307200 points, enough rows for a pool helper
+    # a 640x480 depth frame: 307200 points, enough rows for a helper thread
     K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
     bio.write_tnsr(tmp_path / "depth.tnsr",
                    np.random.default_rng(4).uniform(0.5, 8.0, (1, 1, K.height, K.width)))
@@ -98,6 +98,6 @@ def test_one_thread_loads_no_thread_machinery(tmp_path):
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0] == "[]"
-        # two threads do load it, so the probe can see it
+        # two threads do load the queue, so the probe can see it
         split = threads > 1 and rows.available_cores() > 1
-        assert lines[-1] == ("['queue', 'concurrent.futures']" if split else "[]")
+        assert lines[-1] == ("['queue']" if split else "[]")

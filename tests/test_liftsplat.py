@@ -322,6 +322,27 @@ class TestSplat:
             atol=1e-9,
         )
 
+    @settings(deadline=None, max_examples=200)
+    @given(depth_cases(), st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_mass_conservation_over_depth_cases(self, case, uneven_bins, c_i, seed):
+        """With reduce="sum", each channel's BEV total is the sum of w * F
+        over the in-grid entries.  Both sides add the same n products, each
+        in its own order, with at most n - 1 roundings of u = eps / 2 of a
+        partial sum apiece, so they differ by at most n * eps * sum |w * F|."""
+        f_d, tau = case
+        _, h, w = f_d.probs.shape
+        K = CameraIntrinsics(fx=float(w), fy=float(w), cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+        g = build_grid((-1.0, 1.0), (0.2, 4.0), 3, 4)    # the outer columns leave it
+        f_i = FeatureMap(np.random.default_rng(seed).normal(size=(c_i, 1, h, w)))
+        sp = sparse_prune(f_d, tau)
+        result = splat_to_bev(f_i, sp, K, g, reduce="sum", uneven_bins=uneven_bins)
+        in_grid = _entry_targets(sp, K, g, uneven_bins) >= 0
+        terms = sp.weights[in_grid] * f_i.data.reshape(c_i, h * w)[:, sp.pixels[in_grid]]
+        n = int(in_grid.sum())
+        assert result.in_grid == n
+        bound = n * np.finfo(np.float64).eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(result.bev.data.sum(axis=(1, 2, 3)) - terms.sum(axis=1)) <= bound)
+
     def test_out_of_grid_entries_counted(self):
         K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=3, height=1)
         # pixel u=2 at depth 4 lands at x = 8, far outside (-1, 1)

@@ -1,5 +1,5 @@
-"""Row-parallel point kernels: the blocks, their errors, their pool, and
-every split kernel byte-identical at pool sizes 1, 2 and 3.
+"""Row-parallel point kernels: the blocks, their errors, their helper
+threads, and every split kernel byte-identical at 1, 2 and 3 workers.
 
 The kernel properties draw their row counts around the helper thresholds
 (MIN_ROWS * k +- 1 and odd primes near them) and around whole blocks, and
@@ -29,7 +29,7 @@ from test_imports import run_python
 from test_pointpipe import _rotation, former_depthmap_to_cloud
 
 M, B = rows.MIN_ROWS, rows.BLOCK_ROWS
-POOL_SIZES = (1, 2, 3)
+WORKER_COUNTS = (1, 2, 3)
 # one, two, three and four threads' worth of rows, one either side
 THRESHOLD_COUNTS = [M * k + d for k in (1, 2, 3, 4) for d in (-1, 1)]
 ODD_PRIMES = [131071, 131101, 196597, 196613, 262127, 262133]
@@ -40,11 +40,11 @@ K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=4
 GRID = build_grid((-30.0, 30.0), (0.0, 80.0), 60, 80)
 
 
-def at_each_pool_size(kernel, *args):
+def at_each_worker_count(kernel, *args):
     """The kernel's outputs as bytes (a count or a dict of counts as it
-    is) at pool sizes 1, 2 and 3, after checking that all three are equal."""
+    is) at 1, 2 and 3 workers, after checking that all three are equal."""
     outs = []
-    for n in POOL_SIZES:
+    for n in WORKER_COUNTS:
         with rows.worker_count(n):
             out = kernel(*args)
         outs.append([a if isinstance(a, (int, dict)) else np.asarray(a).tobytes()
@@ -72,8 +72,8 @@ def camera_points(rng, n, special_share):
 
 class TestBlocks:
     @settings(deadline=None, max_examples=300)
-    @given(n=st.one_of(st.integers(0, 10 * M), row_counts), workers=st.sampled_from(POOL_SIZES),
-           quantum=st.sampled_from([1, 640, 1021, 4096]))
+    @given(n=st.one_of(st.integers(0, 10 * M), row_counts),
+           workers=st.sampled_from(WORKER_COUNTS), quantum=st.sampled_from([1, 640, 1021, 4096]))
     def test_blocks_tile_the_rows(self, n, workers, quantum):
         with rows.worker_count(workers):
             blocks = rows.run_blocks(n, lambda lo, hi: (lo, hi), quantum)
@@ -86,7 +86,7 @@ class TestBlocks:
         else:
             assert len(blocks) == (n > 0)
 
-    @pytest.mark.parametrize("workers", POOL_SIZES)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_results_come_in_block_order(self, workers):
         for n in THRESHOLD_COUNTS:
             with rows.worker_count(workers):
@@ -172,21 +172,42 @@ class TestRunBlocks:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_pool_task_finishes(self, workers):
-        # a task on the pool queues helpers behind itself and, with one
-        # pool thread, would wait for them forever if it did not cancel
-        # them: the task runs in a forked child, which the timeout ends
+    def test_a_block_that_calls_a_split_kernel_finishes(self, workers):
+        # every block, on the caller and on a helper, splits a kernel of
+        # its own: were it to wait on helpers it cannot have, it would
+        # hang, so it runs in a forked child, which the timeout ends
         n = 3 * M + 1
         with rows.worker_count(1):
-            want = cells_of(*pool_task_columns(n), GRID).tobytes()
-        assert in_forked_child(_child_pool_task, workers, n) == want
+            want = cells_of(*nested_columns(n), GRID).tobytes()
+        assert in_forked_child(_child_nested_split, workers, n) == want
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["returns", "raises"])
+    def test_no_helper_outlives_the_call(self, failing):
+        # the caller's blocks fail at once while the helpers' blocks are
+        # still sleeping, so only a join on the error path waits for them
+        caller, ran_on = threading.get_ident(), set()
+        before = set(threading.enumerate())
+
+        def block(lo, hi):
+            ran_on.add(threading.get_ident())
+            if failing and threading.get_ident() == caller:
+                raise KeyError(lo)
+            time.sleep(0.05)
+
+        with rows.worker_count(3):
+            if failing:
+                with pytest.raises(KeyError):
+                    rows.run_blocks(3 * M + 1, block)
+            else:
+                rows.run_blocks(3 * M + 1, block)
+        assert len(ran_on) > 1 and set(threading.enumerate()) == before
 
     def test_worker_count_is_restored(self):
-        before = rows._POOL.workers
+        before = rows._workers
         with pytest.raises(ZeroDivisionError):
             with rows.worker_count(3):
                 1 / 0
-        assert rows._POOL.workers == before
+        assert rows._workers == before
         with pytest.raises(ValueError):
             with rows.worker_count(0):
                 pass
@@ -198,10 +219,14 @@ class TestWorkerCount:
         write_tnsr(tmp_path / "depth.tnsr",
                    np.random.default_rng(4).uniform(0.5, 8.0, (1, 1, K.height, K.width)))
         write_intrinsics(tmp_path / "k.json", K)
+        # no helper is alive once main returns, so the child counts the
+        # threads it starts, and the threads alive at the end
         code = ("import sys, threading\n"
+                "starts, start = [], threading.Thread.start\n"
+                "threading.Thread.start = lambda t: (starts.append(t), start(t))[1]\n"
                 "from bevkit.cli import main\n"
                 "code = main(sys.argv[1:])\n"
-                "print(threading.active_count())\n"
+                "print(len(starts), threading.active_count())\n"
                 "sys.exit(code)\n")
         started, outputs = {}, {}
         for threads in (["--threads", "1"], ["--threads", "2"], []):
@@ -210,11 +235,12 @@ class TestWorkerCount:
                              "--intrinsics", str(tmp_path / "k.json"),
                              "--out", str(tmp_path / f"{name}.mmpc"))
             assert out.returncode == 0, out.stderr
-            started[name] = int(out.stdout.splitlines()[-1]) - 1
+            started[name], alive = map(int, out.stdout.splitlines()[-1].split())
+            assert alive == 1
             outputs[name] = (tmp_path / f"{name}.mmpc").read_bytes()
         assert started["1"] == 0
         if rows.available_cores() > 1:
-            assert started["2"] == 1 and 1 <= started["default"] < rows.available_cores()
+            assert started["2"] >= 1 and started["default"] >= 1
         assert outputs["2"] == outputs["1"] and outputs["default"] == outputs["1"]
 
 
@@ -237,15 +263,16 @@ def in_forked_child(target, *args, timeout=30):
     return got
 
 
-def pool_task_columns(n):
+def nested_columns(n):
     return np.random.default_rng(8).uniform(-40.0, 90.0, (2, n))
 
 
-def _child_pool_task(conn, workers, n):
-    x, z = pool_task_columns(n)
+def _child_nested_split(conn, workers, n):
+    x, z = nested_columns(n)
     with rows.worker_count(workers):
-        cells = rows._POOL.executor_for(workers).submit(cells_of, x, z, GRID).result()
-    conn.send(cells.tobytes())
+        cells = rows.run_blocks(3 * M, lambda lo, hi: cells_of(x, z, GRID).tobytes())
+    assert len(set(cells)) == 1 and len(cells) == 3 * M // B
+    conn.send(cells[0])
     conn.close()
 
 
@@ -260,12 +287,11 @@ def test_forked_child_runs_split_kernels():
     pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3))
     with rows.worker_count(2):
         want = hashlib.sha256(transform_cloud(pc, pose).points.tobytes()).hexdigest()
-        assert rows._POOL.executor is not None       # the parent's pool has threads
         assert in_forked_child(_child_digest, pc, pose) == want
 
 
 class TestSplitKernels:
-    """Each split kernel at pool sizes 1, 2 and 3, and against its serial
+    """Each split kernel at 1, 2 and 3 workers, and against its serial
     former form."""
 
     @settings(deadline=None, max_examples=12)
@@ -274,7 +300,7 @@ class TestSplitKernels:
     def test_project(self, n, seed, special_share):
         xyz = camera_points(np.random.default_rng(seed), n, special_share)[:, :3]
         xyz[:: max(1, n // 7), :] = [np.inf, np.nan, 1.0]     # project_point's odd rows
-        z, pixel, n_in_view = at_each_pool_size(_project, xyz, K)
+        z, pixel, n_in_view = at_each_worker_count(_project, xyz, K)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             _, _, *want, in_view = former_project(xyz, K)
         assert [z, pixel] == [a.tobytes() for a in want]
@@ -285,8 +311,8 @@ class TestSplitKernels:
            special_share=st.sampled_from([0.0, 0.01, 0.3]))
     def test_visibility(self, n, seed, special_share):
         pc = PointCloud(camera_points(np.random.default_rng(seed), n, special_share))
-        survive, counts = at_each_pool_size(_visibility_mask, pc, K, 0.1)
-        kept = at_each_pool_size(lambda: unify_visible(pc, K, 0.1)[0].points)
+        survive, counts = at_each_worker_count(_visibility_mask, pc, K, 0.1)
+        kept = at_each_worker_count(lambda: unify_visible(pc, K, 0.1)[0].points)
         want = np.frombuffer(survive, dtype=bool)
         assert kept[0] == np.compress(want, pc.points, axis=0).tobytes()
         n_seen, n_kept = int(former_project(pc.xyz, K)[4].sum()), int(want.sum())
@@ -304,7 +330,7 @@ class TestSplitKernels:
         depths[bad] = rng.choice([np.nan, 0.0, -1.0, np.inf, -np.inf], bad.sum())
         cam = CameraIntrinsics(fx=500.0, fy=480.0, cx=w / 2 - 0.25, cy=h / 2, width=w, height=h)
         dm = DepthMap(depths)
-        (points,) = at_each_pool_size(lambda: depthmap_to_cloud(dm, cam).points)
+        (points,) = at_each_worker_count(lambda: depthmap_to_cloud(dm, cam).points)
         assert points == former_depthmap_to_cloud(dm, cam).tobytes()
 
     @settings(deadline=None, max_examples=12)
@@ -313,7 +339,7 @@ class TestSplitKernels:
         rng = np.random.default_rng(seed)
         pc = PointCloud(rng.normal(size=(n, 4)) * scale)
         pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3) * scale)
-        (points,) = at_each_pool_size(lambda: transform_cloud(pc, pose).points)
+        (points,) = at_each_worker_count(lambda: transform_cloud(pc, pose).points)
         assert points == np.column_stack([pose.apply(pc.xyz), pc.intensity]).tobytes()
 
     @settings(deadline=None, max_examples=12)
@@ -326,7 +352,7 @@ class TestSplitKernels:
         points[special, rng.choice([0, 2], special.size)] = rng.choice(
             [np.nan, np.inf, -np.inf, 30.0, 80.0, -30.0, 0.0], special.size)
         x, z = points[:, 0], points[:, 2]
-        (cells,) = at_each_pool_size(cells_of, x, z, GRID)
+        (cells,) = at_each_worker_count(cells_of, x, z, GRID)
         with np.errstate(over="ignore"):
             assert cells == former_cells_of(x, z, GRID).tobytes()
 
@@ -341,8 +367,8 @@ class TestSplitKernels:
         values = rng.choice([np.nan, np.inf, -np.inf, 30.0, 80.0, -30.0, 0.0], special.size)
         x[special[column == 0]], z[special[column == 1]] = (values[column == 0],
                                                            values[column == 1])
-        (cells,) = at_each_pool_size(_cells_of, x, z, GRID, GRID.n_cells)
-        (plain,) = at_each_pool_size(cells_of, x, z, GRID)
+        (cells,) = at_each_worker_count(_cells_of, x, z, GRID, GRID.n_cells)
+        (plain,) = at_each_worker_count(cells_of, x, z, GRID)
         want = np.array([cell_oracle.cell(a, b, GRID) for a, b in zip(x.tolist(), z.tolist())])
         assert np.isnan(x).any() and np.isnan(z).any() and (want < 0).any()
         assert plain == want.tobytes()
