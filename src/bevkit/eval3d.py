@@ -78,26 +78,30 @@ def _vertex_candidates(corners, center, rotation, dims):
     which corners lie inside the other box, and the crossings of its edges
     with the other box's face planes that lie on the edge and inside the
     other box, (K, 3) in (pair, edge, plane) order, with the pair of each.
-    Only kept crossings are interpolated, so the temporaries stay small."""
+    Only crossings that lie on their edge are tested against the other
+    box, and only kept ones are interpolated, so the temporaries stay
+    small."""
     half = 0.5 * dims[:, None, :]
     limit = half + _PLANE_EPS
     local = (corners - center[:, None, :]) @ rotation
-    corner_in = np.all(np.abs(local) <= limit, axis=-1)
-    p, q = local[:, _EDGES[:, 0]], local[:, _EDGES[:, 1]]
-    step = q - p
+    inside = np.abs(local) <= limit
+    corner_in = inside[..., 0] & inside[..., 1] & inside[..., 2]
+    p = local[:, _EDGES[:, 0]]
+    step = local[:, _EDGES[:, 1]] - p
     # (edge, plane) parameter, planes in _PLANE_AXIS order; an edge (almost)
     # parallel to a plane gives nan or +-inf
-    t = np.concatenate([(-half - p) / step, (half - p) / step], axis=-1)
-    keep = (t >= 0.0) & (t <= 1.0)
-    # the crossing inside the other box, one local axis at a time
-    point = np.empty_like(t)
-    for k in range(3):
-        np.multiply(t, step[:, :, None, k], out=point)
-        point += p[:, :, None, k]
-        keep &= np.abs(point, out=point) <= limit[:, :, None, k]
-    pair, edge, plane = np.nonzero(keep)
-    t = t[pair, edge, plane][:, None]
-    start, stop = corners[pair, _EDGES[edge, 0]], corners[pair, _EDGES[edge, 1]]
+    t = np.concatenate([(-half - p) / step, (half - p) / step], axis=-1).reshape(-1)
+    # the crossings on their edge, then those inside the other box
+    flat = np.flatnonzero((t >= 0.0) & (t <= 1.0))
+    t, edge = np.take(t, flat), flat // 6
+    pair = edge // 12
+    point = (t[:, None] * np.take(step.reshape(-1, 3), edge, axis=0)
+             + np.take(p.reshape(-1, 3), edge, axis=0))
+    inside = np.abs(point) <= np.take(limit[:, 0], pair, axis=0)
+    keep = inside[:, 0] & inside[:, 1] & inside[:, 2]
+    t, edge, pair = t[keep, None], edge[keep], pair[keep]
+    ends = 8 * pair[:, None] + _EDGES[edge - 12 * pair]
+    start, stop = (np.take(corners.reshape(-1, 3), ends[:, k], axis=0) for k in (0, 1))
     return corner_in, start + t * (stop - start), pair
 
 
@@ -107,6 +111,15 @@ def _in_frame(offset, rotation) -> np.ndarray:
     it alone."""
     return (offset[..., :1] * rotation[..., 0, :] + offset[..., 1:2] * rotation[..., 1, :]
             + offset[..., 2:] * rotation[..., 2, :])
+
+
+def _rows_in_frame(vertices, pair, center, rotation) -> np.ndarray:
+    """Each of the (V, 3) ``vertices`` in the frame of the box of its pair,
+    one row per coordinate: (3, V), each bit as ``_in_frame`` gives it."""
+    # the box's centre and rotation rows at each vertex: (12, V)
+    frame = np.take(np.concatenate([center, rotation.reshape(-1, 9)], axis=1).T, pair, axis=1)
+    offset = vertices.T - frame[:3]
+    return offset[:1] * frame[3:6] + offset[1:2] * frame[6:9] + offset[2:] * frame[9:]
 
 
 def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
@@ -132,17 +145,18 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     normals nearly agree, A u B is one polygon, star-shaped about its
     centroid.
 
-    Every sum over vertices is a ``bincount`` in vertex order and both
-    sorts are stable, so a pair's bits depend only on the order of its own
-    vertices, not on the other pairs or on how theirs interleave."""
+    Every sum over vertices is a ``bincount`` in vertex order and the
+    polygon order breaks ties of angle by vertex order, so a pair's bits
+    depend only on the order of its own vertices, not on the other pairs
+    or on how theirs interleave."""
     (ca, da, ra), (cb, db, rb) = a, b
-    n_faces = 12 * len(ca)
+    n_faces, n = 12 * len(ca), len(vertices)
     half = 0.5 * np.concatenate([da, db], axis=1)
-    # each vertex in a's frame, then in b's: (V, 6)
-    local = np.concatenate([_in_frame(vertices - c[pair], r[pair])
-                            for c, r in ((ca, ra), (cb, rb))], axis=1)
-    on = local[:, _FACE_AXIS]
-    on -= (_FACE_SIGN * half[:, _FACE_AXIS])[pair]
+    # each vertex in a's frame, then in b's, one row per coordinate: (6, V)
+    local = np.concatenate([_rows_in_frame(vertices, pair, ca, ra),
+                            _rows_in_frame(vertices, pair, cb, rb)])
+    on = local[_FACE_AXIS]
+    on -= np.take((_FACE_SIGN * half[:, _FACE_AXIS]).T, pair, axis=1)
     on = np.abs(on, out=on) <= _PLANE_EPS
     # each face plane's signed distance from a's centre, which lies half a
     # dimension inside each face of a
@@ -153,22 +167,56 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
               * _in_frame(ra.transpose(0, 2, 1), rb[:, None])[:, _PLANE_AXIS[:, None], _PLANE_AXIS])
     partner = cosine > np.cos(_PARALLEL)
     heights[:, 6:] -= np.sum(np.where(partner, cosine * heights[:, :6, None], 0.0), axis=1)
-    on[:, :6] |= np.any(partner[pair] & on[:, None, 6:], axis=2)
-    v, face = np.nonzero(on)
-    group = pair[v] * 12 + face
-    d = local[v[:, None], _FACE_SPAN[face]]
+    # a face of a takes the flag of its one partner, if it has one, and
+    # else its own again
+    mate = np.where(partner.any(axis=2), 6 + partner.argmax(axis=2), np.arange(6))
+    on[:6] |= np.take(on, np.take(mate.T * n, pair, axis=1) + np.arange(n))
+    # (vertex, face) incidences, face-major; within a face, and so within
+    # each polygon, in vertex order
+    v = np.flatnonzero(on)
+    face = v // n
+    v -= face * n
+    group = np.take(pair, v) * 12 + face
+    # the two face coordinates of each incidence, about the face's centroid
+    x = np.take(local, np.take(_FACE_SPAN[:, 0] * n, face) + v)
+    y = np.take(local, np.take(_FACE_SPAN[:, 1] * n, face) + v)
     del v, face   # the largest temporaries are per (vertex, face)
-    count = np.maximum(np.bincount(group, minlength=n_faces), 1)
-    center = np.stack([np.bincount(group, d[:, k], n_faces) for k in (0, 1)], axis=1)
-    d -= (center / count[:, None])[group]
-    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
-    order = order[np.argsort(group[order], kind="stable")]
-    d, group = d[order], group[order]
+    n_on = np.bincount(group, minlength=n_faces)
+    count = np.maximum(n_on, 1)
+    x -= np.take(np.bincount(group, x, n_faces) / count, group)
+    y -= np.take(np.bincount(group, y, n_faces) / count, group)
+    order = _face_order(np.arctan2(y, x), group, n_on)
+    x, y, group = np.take(x, order), np.take(y, order), np.take(group, order)
     # each vertex's successor around its face; the last one's is the first
+    sizes = n_on[n_on > 0]
+    ends = np.cumsum(sizes)
     succ = np.arange(1, group.size + 1)
-    succ[np.flatnonzero(np.diff(group, append=-1))] = np.flatnonzero(np.diff(group, prepend=-1))
-    area = 0.5 * np.bincount(group, d[:, 0] * d[succ, 1] - d[succ, 0] * d[:, 1], n_faces)
+    succ[ends - 1] = ends - sizes
+    area = 0.5 * np.bincount(group, x * np.take(y, succ) - np.take(x, succ) * y, n_faces)
     return np.sum(heights * area.reshape(-1, 12), axis=1) / 3.0
+
+
+def _face_order(angle, group, n_on) -> np.ndarray:
+    """The order that sorts (vertex, face) incidences by ``group``, then
+    ``angle``, then index: what a stable sort by angle and then a stable
+    sort by group give, from quicksorts of unique int64 keys.  ``n_on``
+    counts the incidences of each group.  Every key lies below n**2 for n
+    incidences, so no key overflows int64 below 3e9 incidences."""
+    n = angle.size
+    by_angle = np.argsort(angle)
+    # equal angles share a rank among the distinct angles, and index order
+    # breaks their tie; by_angle is already sorted by this key except
+    # inside runs of equal angles, which a stable sort mends in near
+    # linear time
+    angles = np.take(angle, by_angle)
+    rank = np.zeros(n, dtype=np.int64)
+    np.cumsum(angles[1:] != angles[:-1], out=rank[1:])
+    by_angle = np.take(by_angle, np.argsort(rank * n + by_angle, kind="stable"))
+    # each incidence's rank by (angle, index), under its group's rank among
+    # the groups that hold any incidence
+    rank[by_angle] = np.arange(n)
+    group_rank = np.cumsum(n_on > 0) - 1
+    return np.argsort(np.take(group_rank, group) * n + rank)
 
 
 def _pair_ious(a, b, ia, ib) -> np.ndarray:
@@ -176,13 +224,21 @@ def _pair_ious(a, b, ia, ib) -> np.ndarray:
     ``b`` are (centres, dims, rotations) stacks of boxes.  Only paired
     boxes are checked for volume."""
     (ca, da, ra), (cb, db, rb) = a, b
-    vol_a, vol_b = np.prod(da, axis=1)[ia], np.prod(db, axis=1)[ib]
+    # an overflow reads inf: a paired box with an infinite volume or
+    # diagonal is refused, and centres that far apart are sphere-disjoint
+    with np.errstate(over="ignore"):
+        vol_a, vol_b = np.prod(da, axis=1)[ia], np.prod(db, axis=1)[ib]
+        diag_a, diag_b = _norms(da)[ia], _norms(db)[ib]
+        distance = _norms(ca[ia] - cb[ib])
+        sizes = np.concatenate([vol_a + vol_b, diag_a + diag_b])
     if np.any(vol_a < _MIN_VOLUME) or np.any(vol_b < _MIN_VOLUME):
         raise ValueError("degenerate (near-zero volume) box")
+    if not np.all(np.isfinite(sizes)):
+        raise ValueError("box too large: its volume or diagonal overflows float64")
     ious = np.zeros(len(ia))
     # disjoint bounding spheres: the boxes cannot meet
-    radii = 0.5 * (_norms(da)[ia] + _norms(db)[ib])
-    near = np.flatnonzero(~(_norms(ca[ia] - cb[ib]) > radii))
+    radii = 0.5 * (diag_a + diag_b)
+    near = np.flatnonzero(~(distance > radii))
     if near.size == 0:
         return ious
     ia, ib = np.take(ia, near), np.take(ib, near)
@@ -214,6 +270,8 @@ def iou3d(a: Box3D, b: Box3D, method: str = "exact") -> float:
     """Intersection over union of two oriented boxes, in [0, 1].
 
     Exact for full 3x3 rotations.  ``method`` accepts only ``"exact"``.
+    A box of near-zero volume, or one whose volume or diagonal overflows
+    float64, is a ValueError.
     """
     _require_exact(method)
     return float(_pair_ious(_stack([a]), _stack([b]), [0], [0])[0])
@@ -276,13 +334,13 @@ def _normalize(records) -> List[Tuple[int, Box3D]]:
     return out
 
 
-def _aps(tp: np.ndarray, member: np.ndarray, n_gt: int) -> List[Optional[float]]:
+def _aps(tp: np.ndarray, member: np.ndarray, n_gt: Sequence[int]) -> List[Optional[float]]:
     """All-point-interpolated AP of each row's series: the score-ordered
     (threshold, prediction) TP flags ``tp`` of the predictions ``member``
-    marks, against ``n_gt`` ground truths.  Each row sums its own
-    envelope, so its bits are those of its series taken alone."""
-    if n_gt == 0:
-        return [0.0 if any_ else None for any_ in member.any(axis=1).tolist()]
+    marks, against the row's ``n_gt`` ground truths; a series without
+    ground truth scores 0, or None if it holds no prediction either.  Each
+    row sums its own envelope, so its bits are those of its series taken
+    alone, whatever rows are stacked with it."""
     hits = tp & member
     # TPs over predictions of the series up to each rank, an exact ratio;
     # a rank outside the series repeats the precision of the series' last
@@ -292,7 +350,16 @@ def _aps(tp: np.ndarray, member: np.ndarray, n_gt: int) -> List[Optional[float]]
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1][hits]
     ends = np.cumsum(hits.sum(axis=1)).tolist()
     # recall rises by 1 / n_gt at each TP: sum first, divide once
-    return [float(envelope[lo:hi].sum() / n_gt) for lo, hi in zip([0] + ends, ends)]
+    return [float(np.add.reduce(envelope[lo:hi]) / n) if n else (0.0 if any_ else None)
+            for lo, hi, n, any_ in zip([0] + ends, ends, n_gt, member.any(axis=1).tolist())]
+
+
+def _mean(values: Sequence[float]) -> Optional[float]:
+    """``np.mean`` of a non-empty list, bit for bit: one pairwise sum and
+    one division; None for an empty one."""
+    if not values:
+        return None
+    return float(np.add.reduce(np.array(values, dtype=np.float64)) / len(values))
 
 
 class _Evaluation:
@@ -398,15 +465,20 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
     tp = matched >= 0
     # a match counts in its ground truth's band, a miss in its own
     band = np.where(tp, np.append(ev.gt_band, -1)[matched], ev.pred_band)
-    # per category: the AP at every threshold, in all and per depth band
+    # per category: the AP at every threshold of its all-band series and
+    # of each depth band's, one _aps call over the stacked series
+    n_rows, n_bands = len(report_thresholds), len(cfg.band_names)
+    series = np.arange(-1, n_bands)[:, None, None]
     cat_aps, cat_band_aps = [], []
     for k in range(len(categories)):
         p = slice(ev.pred_start[k], ev.pred_start[k + 1])
         gt_band = ev.gt_band[ev.gt_start[k]:ev.gt_start[k + 1]]
-        n_gt_band = np.bincount(gt_band + 1, minlength=len(cfg.band_names) + 1)[1:].tolist()
-        cat_aps.append(_aps(tp[:, p], np.ones_like(tp[:, p]), gt_band.size))
-        cat_band_aps.append([_aps(tp[:, p], band[:, p] == b, n)
-                             for b, n in enumerate(n_gt_band)])
+        n_gt = [gt_band.size] + np.bincount(gt_band + 1, minlength=n_bands + 1)[1:].tolist()
+        member = (series < 0) | (band[:, p] == series)
+        aps = _aps(np.tile(tp[:, p], (n_bands + 1, 1)), member.reshape(len(member) * n_rows, -1),
+                   np.repeat(n_gt, n_rows).tolist())
+        cat_aps.append(aps[:n_rows])
+        cat_band_aps.append([aps[n_rows * (b + 1):n_rows * (b + 2)] for b in range(n_bands)])
 
     per_cat: Dict[str, Dict[str, Optional[float]]] = {str(c): {} for c in categories}
     band_aps: Dict[str, List[float]] = {name: [] for name in cfg.band_names}
@@ -420,20 +492,15 @@ def match_and_ap(preds, gts, cfg: Optional[MatchConfig] = None,
                 for name, band_ap in zip(cfg.band_names, by_band):
                     if band_ap[row] is not None:
                         band_aps[name].append(band_ap[row])
-        aps = [ap for ap in aps if ap is not None]
-        mean_at[thr] = float(np.mean(aps)) if aps else None
+        mean_at[thr] = _mean([ap for ap in aps if ap is not None])
 
-    headline_vals = [mean_at[t] for t in cfg.iou_thresholds if mean_at[t] is not None]
     result = {
         "per_category": per_cat,
         "ap_per_threshold": {f"{t:.2f}": mean_at[t] for t in report_thresholds},
         "ap25": mean_at.get(0.25),
         "ap50": mean_at.get(0.50),
-        "ap_bands": {
-            name: (float(np.mean(vals)) if vals else None)
-            for name, vals in band_aps.items()
-        },
-        "headline_ap": float(np.mean(headline_vals)) if headline_vals else None,
+        "ap_bands": {name: _mean(vals) for name, vals in band_aps.items()},
+        "headline_ap": _mean([mean_at[t] for t in cfg.iou_thresholds if mean_at[t] is not None]),
         "n_gt": len(gts_n),
         "n_pred": len(preds_n),
     }

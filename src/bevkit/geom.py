@@ -29,7 +29,10 @@ def _as_float_array(values, shape, name: str) -> np.ndarray:
 
 
 def _check_rotation(rot: np.ndarray, name: str) -> None:
-    if np.max(np.abs(rot @ rot.T - np.eye(3))) > _ORTHO_TOL:
+    # an entry beyond 1 already rules out orthonormality, and one large
+    # enough would overflow the product
+    if (np.max(np.abs(rot)) > 1.0 + _ORTHO_TOL
+            or np.max(np.abs(rot @ rot.T - np.eye(3))) > _ORTHO_TOL):
         raise ValueError(f"{name} is not orthonormal within {_ORTHO_TOL}")
     if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
         raise ValueError(f"{name} must have determinant 1")

@@ -159,6 +159,9 @@ def box_to_dict(box: Box3D, image: Optional[int] = None) -> dict:
 
 def box_from_dict(d: dict) -> Tuple[int, Box3D]:
     d = json_value(d, dict, "record")
+    missing = [k for k in ("center", "dims", "R") if k not in d]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
     box = Box3D(
         json_array(d["center"], "center"),
         json_array(d["dims"], "dims"),
@@ -187,7 +190,7 @@ def read_boxes_jsonl(path) -> List[Tuple[int, Box3D]]:
                 continue
             try:
                 out.append(box_from_dict(json.loads(line)))
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad box record: {exc}") from exc
     return out
 

@@ -104,7 +104,14 @@ def sparse_prune(f_d: DepthDistribution, tau: float) -> SparseProjection:
     bins = np.flatnonzero((probs >= tau).T)
     pixels = bins // c_d
     bins -= pixels * c_d
-    return SparseProjection(pixels, bins, probs[bins, pixels], f_d.probs.shape, float(tau))
+    # the weights by a flat gather, as numpy's 2-D fancy index is slower;
+    # the flat index is built in the bins' buffer and floor division takes
+    # it back, so that no index array of the entries' size is allocated
+    bins *= h * w
+    bins += pixels
+    weights = np.take(probs, bins)
+    bins //= h * w
+    return SparseProjection(pixels, bins, weights, f_d.probs.shape, float(tau))
 
 
 @dataclass(frozen=True)

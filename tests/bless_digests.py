@@ -13,6 +13,11 @@ in tier-1 and fails on any difference.  The digests cover:
 - the sha256 of the float64 bytes of ``iou3d`` over every
   ``eval_mixed`` pair (``workloads.eval_pairs``, in pair order) at seeds
   1-3, since the metrics see an IoU only where it crosses a threshold;
+- the sha256 of the float64 bytes of ``iou3d`` of every ``eval_mixed``
+  ground truth against a copy shifted along its own x axis by a tenth of
+  its x extent, at seeds 1-3: such pairs share four face planes and have
+  duplicate vertices, and their IoU lies below 1, so the order that the
+  face polygons give tied vertices reaches the bits;
 - the sha256 of ``synth.generate``'s cloud, depth probabilities, boxes and
   intrinsics for seeds 1-3 in both regimes, and for one spec that sets the
   depth bins (count, range and uneven spacing).
@@ -67,7 +72,8 @@ def workload_digests() -> dict:
 
 
 def iou_digests() -> dict:
-    """sha256 of every ``eval_mixed`` pair's IoU bits, seeds 1-3."""
+    """sha256 of the IoU bits of every ``eval_mixed`` pair and of every
+    ground truth against its shifted copy, seeds 1-3."""
     import numpy as np
     import workloads as wl
 
@@ -79,7 +85,17 @@ def iou_digests() -> dict:
                                                        wl.Settings.default())
         ious = np.array([iou3d(p, g) for p, g in wl.eval_pairs(es)], dtype=np.float64)
         out[f"eval_mixed/seed{seed}/ious"] = hashlib.sha256(ious.tobytes()).hexdigest()
+        shifted = np.array([iou3d(g, shifted_copy(g)) for _, g in es.gts], dtype=np.float64)
+        out[f"eval_mixed/seed{seed}/shifted_ious"] = hashlib.sha256(shifted.tobytes()).hexdigest()
     return out
+
+
+def shifted_copy(box):
+    """``box`` moved along its own x axis by a tenth of its x extent."""
+    from bevkit.geom import Box3D
+
+    return Box3D(box.center + 0.1 * box.dims[0] * box.rotation[:, 0], box.dims, box.rotation,
+                 box.category)
 
 
 def synth_digests() -> dict:

@@ -141,6 +141,9 @@ class TestExitCodes:
         ("pose", "bad.json: missing key 't'", {"t": DROP}),
         ("config", "config key 'depth_bands'[1] must be a (lo, hi) pair",
          {"depth_bands": [[0, 10], [10, 20, 30]]}),
+        ("boxes", "bad.json:1: bad box record: missing key 'center'", {"center": DROP}),
+        ("boxes", "bad.json:1: bad box record: missing key 'dims'", {"dims": DROP}),
+        ("boxes", "bad.json:1: bad box record: missing key 'R'", {"R": DROP}),
     ])
     def test_malformed_json_is_a_data_error(self, capsys, tmp_path, scene_dir, case, key,
                                             change):
@@ -608,6 +611,23 @@ class TestEval:
         assert err.splitlines() == ["bevkit: degenerate (near-zero volume) box"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", [1e110, 1e200])
+    def test_overflowing_box_is_a_data_error(self, capsys, tmp_path, side):
+        # its volume, and at 1e200 its diagonal, overflows float64
+        bio.write_boxes_jsonl(tmp_path / "gt.jsonl", [Box3D([0, 0, 5], [2, 2, 2], np.eye(3))])
+        bio.write_boxes_jsonl(tmp_path / "pred.jsonl",
+                              [Box3D([0, 0, 5], [side] * 3, np.eye(3), score=0.9)])
+        out = tmp_path / "metrics.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "eval", "--gt", str(tmp_path / "gt.jsonl"),
+                               "--pred", str(tmp_path / "pred.jsonl"), "--out", str(out))
+        assert caught == []
+        assert code == 2
+        assert err.splitlines() == [
+            "bevkit: box too large: its volume or diagonal overflows float64"]
+        assert not out.exists()
+
     def test_custom_eval_config(self, capsys, tmp_path):
         gt = [Box3D([0, 0, 5], [2, 2, 2], np.eye(3))]
         bio.write_boxes_jsonl(tmp_path / "gt.jsonl", gt)
@@ -659,6 +679,96 @@ class TestEval:
         assert code == 0
         assert json.loads(out.read_text())["ap_per_threshold"] == {
             "0.25": 1.0, "0.50": 1.0, "0.55": 1.0, "0.60": 0.0}
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """Acceptance criterion 10's eval inputs: the boxes of `synth --seed 5
+    --regime outdoor --n-objects 5` and their perturbed predictions."""
+    root = tmp_path_factory.mktemp("eval")
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "5", "--regime", "outdoor", "--n-objects", "5",
+                     "--out-dir", str(root)]) == 0
+    boxes = [b for _, b in bio.read_boxes_jsonl(root / "boxes.jsonl")]
+    bio.write_boxes_jsonl(root / "preds.jsonl", perturb(boxes, 0.2, 0.0, 0.0, seed=5))
+    return root
+
+
+ARRAY_KEYS = ("center", "dims", "R")
+BAD_VALUES = st.sampled_from(["x", None, True, [], {}, float("nan"), float("inf"),
+                              -float("inf"), 1e300, -1e300])
+
+
+@st.composite
+def box_mutations(draw, records):
+    """One mutation of one of ``records`` (parsed box JSONL lines): a key
+    dropped, a field or one array entry replaced by a bad value, an array
+    reshaped, a bool or float category, a rotation that is not orthonormal,
+    or the file cut inside the record.  Returns the file text and the key
+    dropped, if any."""
+    records = [json.loads(json.dumps(r)) for r in records]
+    i = draw(st.integers(0, len(records) - 1))
+    rec = records[i]
+    kind = draw(st.sampled_from(["drop", "field", "entry", "shape", "category", "rotation",
+                                 "truncate"]))
+    dropped = None
+    if kind == "drop":
+        dropped = draw(st.sampled_from(sorted(rec)))
+        del rec[dropped]
+    elif kind == "field":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(BAD_VALUES)
+    elif kind == "entry":
+        values = rec[draw(st.sampled_from(ARRAY_KEYS))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
+    elif kind == "shape":
+        key = draw(st.sampled_from(ARRAY_KEYS))
+        values = rec[key]
+        rec[key] = draw(st.sampled_from([values[:-1], values + [1.0], [values], values[0],
+                                         [values[:1], values[1:]], []]))
+    elif kind == "category":
+        rec["category"] = draw(st.sampled_from([True, False, 1.0, 0.5, 1e300]))
+    elif kind == "rotation":
+        rot = np.array(rec["R"]).reshape(3, 3)
+        bent = draw(st.sampled_from([1.1 * rot, 0.5 * rot, -rot, rot[[1, 0, 2]],
+                                     rot + 1e-6, 1e300 * rot]))
+        rec["R"] = bent.ravel().tolist()
+    lines = [json.dumps(r) for r in records]
+    text = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        start = sum(len(line) + 1 for line in lines[:i])
+        text = text[:start + draw(st.integers(0, len(lines[i]) - 1))]
+    return text, dropped
+
+
+class TestEvalReadersUnderMutation:
+    """Property: `eval` on mutated predictions either succeeds silently or
+    fails with exactly one `bevkit:` line, exit 2 and no output file."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_one_line_or_success(self, eval_files, data):
+        records = [json.loads(line) for line in
+                   (eval_files / "preds.jsonl").read_text().splitlines()]
+        text, dropped = data.draw(box_mutations(records))
+        pred, out = eval_files / "mutated.jsonl", eval_files / "metrics.json"
+        pred.write_text(text)
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(["eval", "--gt", str(eval_files / "boxes.jsonl"),
+                             "--pred", str(pred), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert stderr.getvalue() == "" and out.exists()
+            return
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
+        assert stdout.getvalue() == "" and not out.exists()
+        if dropped in ARRAY_KEYS:
+            assert lines[0].endswith(f"bad box record: missing key {dropped!r}")
 
 
 class TestBenchDeterminism:

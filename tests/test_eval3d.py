@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from itertools import permutations
 from pathlib import Path
 from typing import Optional
@@ -12,8 +13,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import bevkit.eval3d
-from bevkit.eval3d import (MatchConfig, _bands_of, _Evaluation, _pair_ious, _stack, iou3d,
-                           match_and_ap)
+from bevkit.eval3d import (MatchConfig, _aps, _bands_of, _Evaluation, _face_order, _pair_ious,
+                           _stack, iou3d, match_and_ap)
 from bevkit.geom import Box3D, Pose, yaw_rotation
 
 
@@ -427,6 +428,87 @@ class TestPairIous:
         assert got.tobytes() == expected[[0, 1, 0]].tobytes()
 
 
+def former_face_order(angle, group) -> np.ndarray:
+    """The former face order: a stable sort by angle, then a stable sort
+    by group."""
+    order = np.argsort(angle, kind="stable")
+    return order[np.argsort(group[order], kind="stable")]
+
+
+@st.composite
+def face_incidences(draw):
+    """Angles and groups of (vertex, face) incidences: angles drawn from a
+    few exact values (0.0, -0.0, +-pi and other repeats) or at random, so
+    that equal angles fall in one group and across groups, and groups
+    drawn among a few or among many."""
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = rng.uniform(-np.pi, np.pi, n)
+    repeats = np.array([0.0, -0.0, np.pi, -np.pi, 0.5, -2.0, np.nextafter(0.5, 1.0)])
+    tied = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9, 1.0]))
+    angle[tied] = rng.choice(repeats, int(tied.sum()))
+    n_groups = draw(st.sampled_from([1, 3, max(n // 3, 1), 12 * n + 1]))
+    return angle, rng.integers(0, n_groups, n)
+
+
+class TestFaceOrder:
+    """The face order from quicksorts of unique keys against the two
+    stable sorts it replaced, index for index."""
+
+    @staticmethod
+    def order(angle, group) -> np.ndarray:
+        return _face_order(angle, group, np.bincount(group, minlength=1))
+
+    @settings(deadline=None, max_examples=200)
+    @given(face_incidences())
+    def test_equals_two_stable_sorts(self, case):
+        angle, group = case
+        assert np.array_equal(self.order(angle, group), former_face_order(angle, group))
+
+    def test_no_key_overflows_past_the_group_rank_index_key(self):
+        # a key (group * n + angle rank) * n + index reaches 2**63 here:
+        # 2**21 incidences in 2**21 groups
+        rng = np.random.default_rng(7)
+        n = 2**21 + 5
+        angle = rng.choice(np.linspace(-np.pi, np.pi, 1001), n)
+        group = rng.integers(0, n, n)
+        group[:2] = n - 1
+        assert (n - 1) * n * n > 2**63
+        assert np.array_equal(self.order(angle, group), former_face_order(angle, group))
+
+
+def former_aps(tp, member, n_gt: int) -> list:
+    """The former AP pass: every row's series against one ground-truth
+    count."""
+    if n_gt == 0:
+        return [0.0 if any_ else None for any_ in member.any(axis=1).tolist()]
+    hits = tp & member
+    precision = hits.cumsum(axis=1) / np.maximum(member.cumsum(axis=1), 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1][hits]
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
+    return [float(envelope[lo:hi].sum() / n_gt) for lo, hi in zip([0] + ends, ends)]
+
+
+class TestStackedAps:
+    """One AP pass over the stacked all/band series of a category against
+    one former pass per series, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 11), st.integers(0, 60), st.integers(0, 4), st.data())
+    def test_equals_one_pass_per_series(self, n_thr, n_pred, n_bands, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tp = rng.random((n_thr, n_pred)) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        band = rng.integers(-1, n_bands, (n_thr, n_pred))
+        n_gt = data.draw(st.lists(st.integers(0, 40), min_size=n_bands + 1,
+                                  max_size=n_bands + 1))
+        members = [np.ones_like(tp)] + [band == b for b in range(n_bands)]
+        expected = sum((former_aps(tp, m, n) for m, n in zip(members, n_gt)), [])
+        got = _aps(np.tile(tp, (n_bands + 1, 1)), np.concatenate(members),
+                   np.repeat(n_gt, n_thr).tolist())
+        assert json.dumps(got) == json.dumps(expected)
+        assert [type(v) for v in got] == [type(v) for v in expected]
+
+
 class TestMatchAndAp:
     def gt(self, z=5.0, cat=0, image=0):
         return (image, Box3D([0.0, 0.0, z], [2.0, 2.0, 2.0], np.eye(3), category=cat))
@@ -560,6 +642,54 @@ class TestDegenerateBoxes:
         preds = [(0, self.box(score=0.9))]
         expected = match_and_ap(preds, [(0, self.box()), (image, regular)])
         assert match_and_ap(preds, [(0, self.box()), (image, tiny)]) == expected
+
+
+class TestOverflowingBoxes:
+    """A paired box whose volume or diagonal overflows float64 is refused
+    with one ValueError and no warning; centres too far apart for float64
+    only make a pair sphere-disjoint."""
+
+    huge = Box3D([0.0, 0.0, 5.0], [1e110] * 3, np.eye(3))
+    long = Box3D([0.0, 0.0, 5.0], [1e160, 1.0, 1.0], np.eye(3))
+    message = "box too large: its volume or diagonal overflows float64"
+
+    @pytest.mark.parametrize("box", [huge, long], ids=["volume", "diagonal"])
+    def test_iou3d_refuses(self, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.message):
+                iou3d(box, box)
+            with pytest.raises(ValueError, match=self.message):
+                iou3d(box, Box3D([0.0, 0.0, 5.0], [1.0, 1.0, 1.0], np.eye(3)))
+
+    @pytest.mark.parametrize("box", [huge, long], ids=["volume", "diagonal"])
+    def test_eval_refuses_a_paired_box(self, box):
+        scored = Box3D(box.center, box.dims, box.rotation, score=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.message):
+                match_and_ap([scored], [box])
+            # unpaired, in another image, it scores like any box
+            unit = Box3D([0.0, 0.0, 5.0], [1.0, 1.0, 1.0], np.eye(3))
+            one = match_and_ap([(0, Box3D(unit.center, unit.dims, unit.rotation, score=1.0))],
+                               [(0, unit), (1, box)])
+        assert one["per_category"]["0"]["0.50"] == 0.5
+
+    def test_two_volumes_that_overflow_together_are_refused(self):
+        side = 0.8 * np.finfo(float).max ** (1 / 3)
+        box = Box3D([0.0, 0.0, 5.0], [side] * 3, np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(box.volume)
+            with pytest.raises(ValueError, match=self.message):
+                iou3d(box, box)
+
+    def test_overflowing_centre_distance_is_sphere_disjoint(self):
+        a = Box3D([1e300, 0.0, 5.0], [1.0, 1.0, 1.0], np.eye(3))
+        b = Box3D([-1e300, 0.0, 5.0], [1.0, 1.0, 1.0], np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou3d(a, b) == 0.0
 
 
 class TestAllThresholdMatcher:
