@@ -18,6 +18,10 @@ in tier-1 and fails on any difference.  The digests cover:
   its x extent, at seeds 1-3: such pairs share four face planes and have
   duplicate vertices, and their IoU lies below 1, so the order that the
   face polygons give tied vertices reaches the bits;
+- the sha256 of the float64 bytes of ``geom.transform_cloud`` of every
+  ``frame_outdoor`` cloud at seeds 1-3, under ``INDOOR_POSE`` and under a
+  yaw pose with a -0.0 translation component: these clouds carry random
+  intensities, where ``frame_indoor``'s depth-map clouds carry only 1.0;
 - the sha256 of ``synth.generate``'s cloud, depth probabilities, boxes and
   intrinsics for seeds 1-3 in both regimes, and for one spec that sets the
   depth bins (count, range and uneven spacing).
@@ -98,6 +102,27 @@ def shifted_copy(box):
                  box.category)
 
 
+def transform_digests() -> dict:
+    """sha256 of ``transform_cloud`` of every ``frame_outdoor`` cloud under
+    two poses, seeds 1-3."""
+    import numpy as np
+    import workloads as wl
+
+    from bevkit.geom import Pose, transform_cloud, yaw_rotation
+
+    poses = {"indoor_pose": wl.INDOOR_POSE,
+             "negzero_pose": Pose(yaw_rotation(0.3), np.array([0.5, -0.0, -1.25]))}
+    out = {}
+    for seed in SEEDS:
+        frames = wl.WORKLOADS["frame_outdoor"].make_inputs(wl.make_rng("frame_outdoor", seed),
+                                                          wl.Settings.default())
+        for i, fr in enumerate(frames):
+            for name, pose in poses.items():
+                data = transform_cloud(fr.cloud, pose).points.tobytes()
+                out[f"transform_cloud/seed{seed}/{i}/{name}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
 def synth_digests() -> dict:
     """sha256 of every array of a synthetic scene, per spec."""
     import numpy as np
@@ -128,7 +153,7 @@ def synth_digests() -> dict:
 
 def compute_digests(root: Path) -> dict:
     return dict(sorted({**cli_digests(root), **workload_digests(), **iou_digests(),
-                        **synth_digests()}.items()))
+                        **transform_digests(), **synth_digests()}.items()))
 
 
 def moves(old: dict, new: dict) -> list:
