@@ -9,8 +9,10 @@ splat is one sparse product over the kept entries, so its cost follows them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,13 +123,37 @@ class SplatResult:
     out_of_grid: int
 
 
-def _column_cells(K: CameraIntrinsics, g: UnevenGridSpec, c_d: int, w_f: int,
-                  uneven_bins: bool) -> np.ndarray:
+class _ColumnTable(NamedTuple):
     """BEV cell (linear, -1 if off-grid) of each (depth bin d, image column
-    w) at index d * W_f + w; the image row never enters the cell."""
+    w) at index d * W_f + w, as the image row never enters the cell, and
+    the in-grid indices with their cells; read-only, shared by callers."""
+
+    cells: np.ndarray
+    in_grid: np.ndarray
+    in_grid_cells: np.ndarray
+
+
+def _column_cells(K: CameraIntrinsics, g: UnevenGridSpec, c_d: int, w_f: int,
+                  uneven_bins: bool) -> _ColumnTable:
+    """The column table of a feature camera, grid and depth-bin layout,
+    built once per value key: the grid enters by its values, because its
+    depth edges are an ndarray and an equal grid may be another object."""
+    return _column_table(K, g.x_range, g.z_range, g.n_x, g.n_z, g.depth_edges.tobytes(),
+                         c_d, w_f, bool(uneven_bins))
+
+
+@functools.lru_cache(maxsize=8)
+def _column_table(K, x_range, z_range, n_x, n_z, edges, c_d, w_f, uneven_bins) -> _ColumnTable:
+    # the grid is rebuilt from the key, so the table depends on the key alone
+    g = UnevenGridSpec(x_range, z_range, n_x, n_z, np.frombuffer(edges))
     z = np.repeat(depth_bin_centers(g.z_range[0], g.z_range[1], c_d, uneven_bins), w_f)
     u = np.tile(np.arange(w_f, dtype=np.float64), c_d)
-    return cells_of((u - K.cx) * z / K.fx, z, g)
+    cells = cells_of((u - K.cx) * z / K.fx, z, g)
+    in_grid = np.flatnonzero(cells >= 0)
+    table = _ColumnTable(cells, in_grid, cells[in_grid])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,
@@ -139,7 +165,7 @@ def _entry_targets(sp: SparseProjection, K: CameraIntrinsics, g: UnevenGridSpec,
     index *= -w_f
     index += sp.pixels
     index += sp.bins * w_f
-    return _column_cells(K, g, c_d, w_f, uneven_bins)[index]
+    return _column_cells(K, g, c_d, w_f, uneven_bins).cells[index]
 
 
 def splat_to_bev(f_i: FeatureMap, sp: SparseProjection, K: CameraIntrinsics,
@@ -193,10 +219,10 @@ def bev_depth_confidence(f_d: DepthDistribution, K: CameraIntrinsics,
     This is the image-branch confidence field thresholded into a BEV mask
     downstream; max is the least destructive per-cell aggregate.
     """
-    cells = _column_cells(K, g, f_d.n_bins, f_d.probs.shape[2], uneven_bins)
-    valid = cells >= 0
+    table = _column_cells(K, g, f_d.n_bins, f_d.probs.shape[2], uneven_bins)
     conf = np.zeros(g.n_cells)
-    np.maximum.at(conf, cells[valid], f_d.probs.max(axis=1, initial=0.0).ravel()[valid])
+    np.maximum.at(conf, table.in_grid_cells,
+                  f_d.probs.max(axis=1, initial=0.0).ravel()[table.in_grid])
     return conf.reshape(g.n_z, g.n_x)
 
 

@@ -251,17 +251,36 @@ class TestIou3dFullRotations:
 GROUND_Y = 1.8  # outdoor boxes rest on y = 1.8 (camera frame, y down)
 
 
+def nearly_parallel(a, b) -> bool:
+    """Whether two yaw-only boxes have vertical faces that meet at an angle
+    below 1e-6 rad without being parallel."""
+    turn = np.abs((a.rotation.T @ b.rotation)[0, [0, 2]])
+    return bool(np.any((turn > 0.0) & (turn < 1e-6)))
+
+
 @st.composite
-def grounded_yaw_pairs(draw):
-    """Two yaw-only boxes resting on one ground plane, as outdoors."""
-    def box(center):
+def grounded_yaw_pairs(draw, near_parallel=False):
+    """Two yaw-only boxes resting on one ground plane, as outdoors.  Near
+    parallel, b's yaw is a's turned by a multiple of pi/2 and 1e-16 to
+    1e-6 rad, so that vertical faces meet in slivers; otherwise the yaws
+    are drawn apart and pairs nearly parallel by chance are left out."""
+    def box(center, yaw):
         dims = np.array(draw(extents))
         center = np.array([center[0], GROUND_Y - 0.5 * dims[1], center[1]])
-        return Box3D(center, dims, yaw_rotation(draw(st.floats(-np.pi, np.pi))))
+        return Box3D(center, dims, yaw_rotation(yaw))
 
     x, z = draw(st.floats(-5.0, 5.0)), draw(st.floats(2.0, 60.0))
     dx, dz = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    return box((x, z)), box((x + dx, z + dz))
+    yaw = draw(st.floats(-np.pi, np.pi))
+    if near_parallel:
+        turn = (draw(st.integers(-2, 2)) * np.pi / 2
+                + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-16.0, -6.0)))
+        other = yaw + turn
+    else:
+        other = draw(st.floats(-np.pi, np.pi))
+    a, b = box((x, z), yaw), box((x + dx, z + dz), other)
+    assume(near_parallel == nearly_parallel(a, b))
+    return a, b
 
 
 @st.composite
@@ -355,11 +374,14 @@ class TestSharedFacePlanes:
         assert iou3d(a, b) <= 1e-12 and iou3d(b, a) <= 1e-12
 
     @settings(deadline=None, max_examples=200)
-    @given(turned_flush_pairs())
+    @given(st.one_of(turned_flush_pairs(), grounded_yaw_pairs(near_parallel=True)))
+    @example(pair=(Box3D([0.0, 1.3, 2.0], [1.0, 1.0, 1.0], yaw_rotation(0.0)),
+                   Box3D([0.0, 1.3, 2.0], [1.0, 1.0, 1.0], yaw_rotation(1e-12))))
     def test_turned_pairs_match_halfspace_oracle(self, pair):
         # the oracle cannot measure a thin overlap, so only overlaps it sees;
         # vertices admitted up to 1e-12 outside a box (qhull's too, before)
-        # move such an IoU by up to about 1e-11
+        # move such an IoU by up to about 1e-11: the example, a cube and
+        # its copy yawed by 1e-12 rad, is off by 1.00009e-12
         a, b = pair
         expected = halfspace_iou3d(a, b)
         assume(expected is not None)

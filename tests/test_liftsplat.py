@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,7 +212,7 @@ class TestSparsePruneFormer:
 def former_entry_targets(sp, K, g, uneven_bins):
     """The former entry index, whose remainder pixels % W_f picks the column."""
     c_d, _, w_f = sp.source_shape
-    return _column_cells(K, g, c_d, w_f, uneven_bins)[sp.bins * w_f + sp.pixels % w_f]
+    return _column_cells(K, g, c_d, w_f, uneven_bins).cells[sp.bins * w_f + sp.pixels % w_f]
 
 
 class TestEntryTargetsFormer:
@@ -235,6 +237,34 @@ class TestEntryTargetsFormer:
         g = Config().grid()
         assert (_entry_targets(sp, K, g, True).tobytes()
                 == former_entry_targets(sp, K, g, True).tobytes())
+
+
+class TestColumnTable:
+    def test_built_once_per_value_key(self, small_k):
+        g = build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6)
+        table = _column_cells(small_k, g, 6, 8, False)
+        # an equal camera and a grid built anew are the same key
+        assert _column_cells(replace(small_k), build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6),
+                             6, 8, False) is table
+        for other in [(replace(small_k, cx=3.5), g, 6, 8, False),
+                      (small_k, build_grid((-6.0, 6.0), (0.5, 12.0), 5, 6, uneven=False),
+                       6, 8, False),
+                      (small_k, build_grid((-6.0, 7.0), (0.5, 12.0), 5, 6), 6, 8, False),
+                      (small_k, g, 7, 8, False), (small_k, g, 6, 9, False),
+                      (small_k, g, 6, 8, True)]:
+            assert _column_cells(*other) is not table
+
+    def test_read_only_and_equal_to_the_uncached_cells(self, small_k):
+        g = build_grid((-2.0, 2.0), (0.5, 12.0), 5, 6)    # far rays leave it sideways
+        table = _column_cells(small_k, g, 6, 8, True)
+        z = np.repeat(depth_bin_centers(0.5, 12.0, 6, True), 8)
+        u = np.tile(np.arange(8, dtype=np.float64), 6)
+        cells = cells_of((u - small_k.cx) * z / small_k.fx, z, g)
+        assert table.cells.tobytes() == cells.tobytes()
+        assert table.in_grid.tolist() == np.flatnonzero(cells >= 0).tolist()
+        assert table.in_grid_cells.tolist() == cells[cells >= 0].tolist()
+        assert 0 < table.in_grid.size < cells.size
+        assert not any(arr.flags.writeable for arr in table)
 
 
 class TestSplat:

@@ -334,10 +334,19 @@ class TestSplitKernels:
         assert points == former_depthmap_to_cloud(dm, cam).tobytes()
 
     @settings(deadline=None, max_examples=12)
-    @given(n=row_counts, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]))
-    def test_transform_cloud_is_pose_apply(self, n, seed, scale):
+    @given(n=row_counts, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+           intensity=st.sampled_from(["random", "unit", "unit but one"]))
+    def test_transform_cloud_is_pose_apply(self, n, seed, scale, intensity):
+        # a block of unit intensities is its own affine operand and any
+        # other block is copied: with one row off 1.0, both kinds of block
+        # meet, on the caller and on helpers
         rng = np.random.default_rng(seed)
-        pc = PointCloud(rng.normal(size=(n, 4)) * scale)
+        points = rng.normal(size=(n, 4)) * scale
+        if intensity != "random":
+            points[:, 3] = 1.0
+        if intensity == "unit but one":
+            points[rng.integers(n), 3] = 0.5
+        pc = PointCloud(points)
         pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3) * scale)
         (points,) = at_each_worker_count(lambda: transform_cloud(pc, pose).points)
         assert points == np.column_stack([pose.apply(pc.xyz), pc.intensity]).tobytes()
