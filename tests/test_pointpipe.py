@@ -190,7 +190,7 @@ class TestFormerFormulations:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
     def test_transform_cloud_bits_on_random_poses(self, n):
         # a single row takes numpy's vector-matrix path, which sums in its
-        # own order: a product that adds t inside it differs there
+        # own order: the affine product, t added inside it, must match there
         rng = np.random.default_rng(n)
         for _ in range(50):
             pose = Pose(_rotation(rng.normal(size=4)), rng.normal(size=3) * 10.0)
