@@ -22,6 +22,11 @@ in tier-1 and fails on any difference.  The digests cover:
   ``frame_outdoor`` cloud at seeds 1-3, under ``INDOOR_POSE`` and under a
   yaw pose with a -0.0 translation component: these clouds carry random
   intensities, where ``frame_indoor``'s depth-map clouds carry only 1.0;
+- the sha256 of the survivors' float64 bytes and the counts of
+  ``pointpipe.unify_visible(depthmap_to_cloud(dm, K), K, 0.1)`` on every
+  ``frame_indoor`` depth map at seeds 1-3 with a seeded 5% of its pixels set
+  to 0, -1, NaN or +inf: the bench maps are clipped to [0.5, 8] m, so only
+  these reach the invalid-pixel path of ``depthmap_to_cloud``;
 - the sha256 of ``synth.generate``'s cloud, depth probabilities, boxes and
   intrinsics for seeds 1-3 in both regimes, and for one spec that sets the
   depth bins (count, range and uneven spacing).
@@ -123,6 +128,29 @@ def transform_digests() -> dict:
     return out
 
 
+def invalid_pixel_digests() -> dict:
+    """sha256 of the visible cloud and counts of every ``frame_indoor``
+    depth map with a seeded 5% of invalid pixels, seeds 1-3."""
+    import numpy as np
+    import workloads as wl
+
+    from bevkit.pointpipe import DepthMap, depthmap_to_cloud, unify_visible
+
+    out = {}
+    for seed in SEEDS:
+        frames = wl.WORKLOADS["frame_indoor"].make_inputs(wl.make_rng("frame_indoor", seed),
+                                                         wl.Settings.default())
+        rng = np.random.default_rng(seed)
+        for i, fr in enumerate(frames):
+            depths = fr.depth.depths.copy()
+            hit = rng.random(depths.shape) < 0.05
+            depths[hit] = rng.choice([0.0, -1.0, np.nan, np.inf], size=int(hit.sum()))
+            visible, counts = unify_visible(depthmap_to_cloud(DepthMap(depths), fr.K), fr.K, 0.1)
+            data = visible.points.tobytes() + json.dumps(counts, sort_keys=True).encode()
+            out[f"invalid_pixels/seed{seed}/{i}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
 def synth_digests() -> dict:
     """sha256 of every array of a synthetic scene, per spec."""
     import numpy as np
@@ -153,7 +181,8 @@ def synth_digests() -> dict:
 
 def compute_digests(root: Path) -> dict:
     return dict(sorted({**cli_digests(root), **workload_digests(), **iou_digests(),
-                        **transform_digests(), **synth_digests()}.items()))
+                        **transform_digests(), **invalid_pixel_digests(),
+                        **synth_digests()}.items()))
 
 
 def moves(old: dict, new: dict) -> list:
