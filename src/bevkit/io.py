@@ -79,7 +79,12 @@ def read_json_object(path, keys: Sequence[str] = ()) -> dict:
 
 
 def write_mmpc(path, pc: PointCloud) -> None:
-    payload = np.ascontiguousarray(pc.points, dtype="<f4")
+    # a finite float64 beyond float32's range would be written as inf,
+    # which read_mmpc refuses
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(pc.points, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("point cloud entries must fit MMPC's float32 range")
     with open(path, "wb") as fh:
         fh.write(MMPC_MAGIC)
         fh.write(struct.pack("<I", len(pc)))

@@ -105,7 +105,7 @@ def depthmap_to_cloud(dm: DepthMap, K: CameraIntrinsics) -> PointCloud:
     valid = z > 0
     valid &= z < np.inf      # NaN fails both tests
     if not valid.all():
-        return PointCloud(_compress_rows(valid.reshape(-1), points))
+        return PointCloud(np.compress(valid.reshape(-1), points, axis=0))
     # a point that overflowed fails PointCloud's own check
     return PointCloud._of_checked_rows(points) if finite else PointCloud(points)
 
@@ -130,19 +130,7 @@ def unify_visible(pc: PointCloud, K: CameraIntrinsics, tol: float = 0.1):
     """``visibility_filter``'s survivors and ``unify_stats``' counts from
     one z-buffer pass; returns (PointCloud, dict)."""
     survive, counts = _visibility_mask(pc, K, tol)
-    return PointCloud._of_checked_rows(_compress_rows(survive, pc.points)), counts
-
-
-def _compress_rows(mask: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``np.compress(mask, points, axis=0)``, row-parallel: each block of
-    the kept rows is one take into its slice."""
-    index = np.flatnonzero(mask)
-    kept = np.empty((index.size,) + points.shape[1:])
-    # mode="clip" takes in place; the default "raise" takes into a copy
-    # of the slice, and every index here is in range
-    rows.run_blocks(index.size, lambda lo, hi: np.take(
-        points, index[lo:hi], axis=0, out=kept[lo:hi], mode="clip"))
-    return kept
+    return PointCloud._of_checked_rows(np.compress(survive, pc.points, axis=0)), counts
 
 
 def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
@@ -151,8 +139,9 @@ def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
 
     Every point enters the z-buffer: out-of-view points all land in its
     one extra dump pixel, whose bound is pinned to -inf, below any finite
-    depth, so none of them survives.  The z-buffer's ``minimum.at`` is
-    serial; the survivor test after it is row-parallel."""
+    depth, so none of them survives.  The z-buffer's ``minimum.at`` and
+    the survivor test after it are serial: a second worker measured no
+    faster on either."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     z, pixel, n_in_view = _project(pc.xyz, K)
@@ -160,9 +149,7 @@ def _visibility_mask(pc: PointCloud, K: CameraIntrinsics, tol: float):
     np.minimum.at(minz, pixel, z)
     minz += tol               # once per pixel, not once per point
     minz[-1] = -np.inf        # the dump pixel: every PointCloud depth is finite
-    survive = np.empty(z.size, dtype=bool)
-    rows.run_blocks(z.size, lambda lo, hi: np.less_equal(
-        z[lo:hi], minz[pixel[lo:hi]], out=survive[lo:hi]))
+    survive = z <= minz[pixel]
     n, n_kept = z.size, int(np.count_nonzero(survive))
     return survive, {"input": n, "out_of_view": n - n_in_view,
                      "occluded": n_in_view - n_kept, "retained": n_kept}

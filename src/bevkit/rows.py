@@ -2,15 +2,15 @@
 blocks, which the calling thread and helper threads started for the call
 take from one queue.
 
-The point kernels (unprojection, rigid transform, projection, the
-visibility survivor test and row compress, BEV cell lookup) are chains of
-elementwise numpy passes, and numpy releases the interpreter lock inside
-each pass.  ``run_blocks(n, block)`` runs ``block(lo, hi)`` over
-consecutive blocks of the rows and returns the blocks' results in block
-order.  The blocks depend only on n and the kernel's quantum, never on
-the worker count, so an elementwise pass gives each row the bits of the
-serial run; accumulations whose order is their bits (the z-buffer's
-``minimum.at``, the pillar sums, the splat, the evaluation) stay serial.
+The point kernels (unprojection, rigid transform, projection, BEV cell
+lookup) are chains of elementwise numpy passes, and numpy releases the
+interpreter lock inside each pass.  ``run_blocks(n, block)`` runs
+``block(lo, hi)`` over consecutive blocks of the rows and returns the
+blocks' results in block order.  The blocks depend only on n and the
+kernel's quantum, never on the worker count, so an elementwise pass
+gives each row the bits of the serial run; accumulations whose order is
+their bits (the z-buffer's ``minimum.at``, the pillar sums, the splat,
+the evaluation) stay serial.
 
 A block writes into arrays its kernel allocated once, through ``out=``
 or slice assignment, and allocates only block-sized temporaries: a

@@ -113,13 +113,13 @@ def _depth_distribution(spec: SceneSpec, cloud: PointCloud) -> DepthDistribution
     h_f, w_f = K.height // ds, K.width // ds
     depth = np.full((h_f, w_f), spec.bev_z_range[1] * 0.95)
     if len(cloud):
+        # visibility_filter keeps only in-view points: none maps to the dump pixel
         z, pixel, _ = _project(cloud.xyz, K)
-        in_view = pixel < K.width * K.height
-        vi, ui = np.divmod(pixel[in_view], K.width)
+        vi, ui = np.divmod(pixel, K.width)
         fu = np.minimum(ui // ds, w_f - 1)
         fv = np.minimum(vi // ds, h_f - 1)
         flat = np.full(h_f * w_f, np.inf)
-        np.minimum.at(flat, fv * w_f + fu, z[in_view])
+        np.minimum.at(flat, fv * w_f + fu, z)
         seen = np.isfinite(flat)
         depth.ravel()[seen] = flat[seen]
     centers = depth_bin_centers(spec.bev_z_range[0], spec.bev_z_range[1], spec.n_depth_bins,

@@ -15,7 +15,7 @@ from bevkit import io as bio
 from bevkit import rows
 from bevkit.cli import _build_parser, main
 from bevkit.config import Config, load_config, save_config
-from bevkit.geom import Box3D, CameraIntrinsics, PointCloud
+from bevkit.geom import Box3D, CameraIntrinsics, PointCloud, Pose, yaw_rotation
 from bevkit.liftsplat import DepthDistribution, sparse_prune, splat_to_bev
 from bevkit.synth import SceneSpec, generate, perturb
 
@@ -377,6 +377,22 @@ class TestSynthAndUnify:
         s = json.loads(stats.read_text())
         assert s["input"] == s["retained"] + s["out_of_view"] + s["occluded"]
         assert len(bio.read_mmpc(out)) == s["retained"]
+
+    def test_unify_cloud_beyond_float32_is_a_data_error(self, capsys, scene_dir, tmp_path):
+        # the pose moves every point to z ~ 1e300, still in view, which no
+        # float32 MMPC record holds: it once printed numpy's overflow
+        # warning and wrote inf
+        bio.write_pose(tmp_path / "pose.json", Pose(np.eye(3), [0.0, 0.0, 1e300]))
+        out = tmp_path / "visible.mmpc"
+        capsys.readouterr()     # synth's summary
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, msg, err = run(capsys, "unify", "--in", str(scene_dir / "cloud.mmpc"),
+                                 "--intrinsics", str(scene_dir / "intrinsics.json"),
+                                 "--pose", str(tmp_path / "pose.json"), "--out", str(out))
+        assert caught == [] and code == 2 and msg == ""
+        assert err == "bevkit: point cloud entries must fit MMPC's float32 range\n"
+        assert not out.exists()
 
     def test_unify_depthmap_input(self, capsys, tmp_path, default_k):
         k = tmp_path / "k.json"
@@ -769,6 +785,143 @@ class TestEvalReadersUnderMutation:
         assert stdout.getvalue() == "" and not out.exists()
         if dropped in ARRAY_KEYS:
             assert lines[0].endswith(f"bad box record: missing key {dropped!r}")
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """`unify`'s and `project`'s inputs, from `synth --seed 3 --regime
+    indoor`: its cloud, depth distribution and intrinsics, and beside them
+    a depth map of the distribution's most likely bin (in bin units) with
+    the feature camera's intrinsics, image features, a pose and a config
+    of the defaults."""
+    root = tmp_path_factory.mktemp("readers")
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "3", "--regime", "indoor", "--out-dir", str(root)]) == 0
+    probs = bio.read_tnsr(root / "depth.tnsr").data
+    bio.write_tnsr(root / "depthmap.tnsr", 1.0 + probs.argmax(axis=1)[:, None])
+    K = bio.read_intrinsics(root / "intrinsics.json")
+    h, w = probs.shape[2:]
+    bio.write_intrinsics(root / "feature_k.json", CameraIntrinsics(
+        K.fx * w / K.width, K.fy * h / K.height, K.cx * w / K.width, K.cy * h / K.height, w, h))
+    bio.write_tnsr(root / "fi.tnsr", np.random.default_rng(3).normal(size=(2, 1, h, w)))
+    bio.write_pose(root / "pose.json", Pose(yaw_rotation(0.1), [0.2, -0.1, 0.3]))
+    save_config(Config(), root / "cfg.json")
+    return root
+
+
+# each command's input files, by flag; --config is one of every command's
+READER_COMMANDS = {
+    "unify-cloud": {"--in": "cloud.mmpc", "--intrinsics": "intrinsics.json",
+                    "--pose": "pose.json"},
+    "unify-depthmap": {"--in": "depthmap.tnsr", "--intrinsics": "feature_k.json",
+                       "--pose": "pose.json"},
+    "project": {"--fi": "fi.tnsr", "--fd": "depth.tnsr", "--intrinsics": "intrinsics.json"},
+}
+BAD_FLOAT32 = st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -3e38, 0.0, -0.0, 1e-45])
+BAD_FLOAT64 = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324])
+
+
+def mutate_binary(draw, payload: bytes, mmpc: bool) -> bytes:
+    """One mutation of an MMPC or TNSR file: cut short, one byte or one
+    value overwritten, the MMPC count or the TNSR shape changed, or bytes
+    appended."""
+    kind = draw(st.sampled_from(["truncate", "byte", "value", "header", "append"]))
+    start = 8 if mmpc else payload.index(b"\n") + 1
+    width = 4 if mmpc else 8
+    if kind == "truncate":
+        return payload[:draw(st.integers(0, len(payload) - 1))]
+    if kind == "byte":
+        at = draw(st.integers(0, len(payload) - 1))
+        return payload[:at] + bytes([draw(st.integers(0, 255))]) + payload[at + 1:]
+    if kind == "value":
+        at = start + width * draw(st.integers(0, (len(payload) - start) // width - 1))
+        value = np.array(draw(BAD_FLOAT32 if mmpc else BAD_FLOAT64), "<f4" if mmpc else "<f8")
+        return payload[:at] + value.tobytes() + payload[at + width:]
+    if kind == "append":
+        return payload + draw(st.binary(min_size=1, max_size=24))
+    if mmpc:
+        return payload[:4] + struct.pack("<I", draw(st.integers(0, 2**32 - 1))) + payload[8:]
+    shape = json.loads(payload[:start])["shape"]
+    axis = draw(st.integers(0, 3))
+    shape[axis] = draw(st.sampled_from([0, -1, shape[axis] - 1, shape[axis] + 1, 2 * shape[axis],
+                                        "x", None, 1.5, True]))
+    if draw(st.booleans()):
+        shape = shape[::-1]
+    return json.dumps({"shape": shape}).encode() + b"\n" + payload[start:]
+
+
+def mutate_json(draw, text: str) -> str:
+    """One mutation of a JSON object file: a key dropped or added, a field
+    or one list entry replaced by a bad value, a number scaled, a list
+    reshaped, another top-level value, or the file cut short."""
+    kind = draw(st.sampled_from(["drop", "add", "field", "entry", "scale", "shape", "top",
+                                 "truncate"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "top":
+        return json.dumps(draw(st.sampled_from([[], 1, "x", None, [json.loads(text)]])))
+    d = json.loads(text)
+    key = draw(st.sampled_from(sorted(d)))
+    lists = sorted(k for k, v in d.items() if isinstance(v, list) and v)
+    if kind == "drop":
+        del d[key]
+    elif kind == "add":
+        d[draw(st.sampled_from(["extra", "R", "t", "fx", "width", "tau", "n_x"]))] = 1
+    elif kind == "field":
+        d[key] = draw(BAD_VALUES)
+    elif kind == "entry" and lists:
+        values = d[draw(st.sampled_from(lists))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
+    elif kind == "scale" and isinstance(d[key], (int, float)) and not isinstance(d[key], bool):
+        # integers stay small: an image size is allocated
+        d[key] = (draw(st.sampled_from([0, -1, 1, d[key] - 1, d[key] + 1]))
+                  if isinstance(d[key], int) else
+                  d[key] * draw(st.sampled_from([-1.0, 0.0, 1e-300, 0.5, 2.0, 1e300])))
+    elif kind == "shape" and lists:
+        k = draw(st.sampled_from(lists))
+        values = d[k]
+        d[k] = draw(st.sampled_from([values[:-1], values + [1.0], [values], values[0], []]))
+    return json.dumps(d)
+
+
+class TestUnifyProjectReadersUnderMutation:
+    """Property: `unify` (MMPC or depth-map TNSR, intrinsics, pose) and
+    `project` (both TNSRs, intrinsics), under a --config file, on one
+    mutated input either succeed silently or fail with exactly one
+    `bevkit:` line, exit 2 and no output file."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(sorted(READER_COMMANDS)), st.data())
+    def test_one_line_or_success(self, reader_files, command, data):
+        inputs = {**READER_COMMANDS[command], "--config": "cfg.json"}
+        flag = data.draw(st.sampled_from(sorted(inputs)))
+        name = inputs[flag]
+        payload = (reader_files / name).read_bytes()
+        if name.endswith(".json"):
+            mutated = mutate_json(data.draw, payload.decode()).encode()
+        else:
+            mutated = mutate_binary(data.draw, payload, name.endswith(".mmpc"))
+        (reader_files / "mutated").write_bytes(mutated)
+        paths = {f: str(reader_files / ("mutated" if f == flag else n)) for f, n in inputs.items()}
+        out, stats = reader_files / "out", reader_files / "stats.json"
+        out.unlink(missing_ok=True)
+        stats.unlink(missing_ok=True)
+        argv = ["--config", paths.pop("--config"), command.split("-")[0]]
+        argv += [a for f, p in paths.items() for a in (f, p)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv + ["--out", str(out), "--stats", str(stats)])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert stderr.getvalue() == "" and out.exists() and stats.exists()
+            return
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
+        assert stdout.getvalue() == "" and not out.exists() and not stats.exists()
 
 
 class TestBenchDeterminism:

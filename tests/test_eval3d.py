@@ -180,6 +180,15 @@ class TestIou3d:
             b2 = Box3D(pose.apply(b.center), b.dims, pose.rotation @ b.rotation)
             assert abs(iou3d(a2, b2) - base) < 1e-9
 
+    @pytest.mark.parametrize("distance", [10.0, 100.0, 1000.0])
+    def test_self_iou_is_exact_up_to_1km(self, distance):
+        # _PLANE_EPS is absolute: past about 1 km rounding outgrows it
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            center = [rng.uniform(-distance, distance), rng.uniform(-2, 2), distance]
+            box = Box3D(center, rng.uniform(0.5, 4.0, 3), yaw_rotation(rng.uniform(-np.pi, np.pi)))
+            assert abs(iou3d(box, box) - 1.0) <= 1e-12
+
     def test_degenerate_box_rejected(self):
         good = Box3D([0, 0, 5], [1, 1, 1], np.eye(3))
         with pytest.raises(ValueError):

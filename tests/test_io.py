@@ -70,6 +70,14 @@ class TestMmpc:
         bio.write_mmpc(path, PointCloud(points))
         assert bio.read_mmpc(path).points.tobytes() == points.tobytes()
 
+    @pytest.mark.parametrize("value", [1e300, -3.5e38])
+    def test_point_beyond_float32_is_refused(self, tmp_path, value):
+        # a float32 cast would write inf, which read_mmpc refuses
+        path = tmp_path / "far.mmpc"
+        with pytest.raises(ValueError, match="float32 range"):
+            bio.write_mmpc(path, PointCloud([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, value, 1.0]]))
+        assert not path.exists()
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.mmpc"
         path.write_bytes(b"MMPC" + struct.pack("<I", 2) + b"\x00" * 16)
