@@ -30,14 +30,13 @@ import numpy as np
 from .geom import Box3D, corners_of
 
 # Slack for rounding of points that lie on a face: a point this close to
-# a face plane lies on it.  Every point admitted up to this far outside
-# the other box inflates the intersection, so it stays far below the IoU
-# precision the tests ask for (1e-9); on the eval_mixed benchmark pairs
-# (seeds 1-5, up to 80 m away) rounding leaves every vertex within
-# 1.3e-14 of its planes.  The slack is absolute, so the IoU is exact only
-# near the camera: the self-IoU of random yawed boxes stays within 1e-12
-# of 1 up to 1 km out (2.5e-13 at worst), but rounding outgrows the slack
-# at 10 km (errors from 2.5e-12 up to 0.5) and at 100 km (up to 1.0).
+# a face plane lies on it, and a vertex this close outside the other box
+# moves onto it.  On the eval_mixed benchmark pairs (seeds 1-5, up to 80 m
+# away) rounding leaves every vertex within 1.3e-14 of its planes.  The
+# slack is absolute, so the IoU is exact only near the camera: the
+# self-IoU of random yawed boxes stays within 1e-12 of 1 up to 1 km out
+# (2.6e-13 at worst), but rounding outgrows the slack at 10 km (errors up
+# to 0.5) and at 100 km (up to 1.0).
 _PLANE_EPS = 1e-12
 # A face of b whose outward normal is within this angle (radians) of a face
 # of a's counts together with it; below 45 degrees a face has at most one
@@ -77,13 +76,14 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _vertex_candidates(corners, center, rotation, dims):
     """Candidate vertices that one box of each pair, given by its
-    (P, 8, 3) ``corners``, adds to its intersection with the other box:
-    which corners lie inside the other box, and the crossings of its edges
-    with the other box's face planes that lie on the edge and inside the
-    other box, (K, 3) in (pair, edge, plane) order, with the pair of each.
+    (P, 8, 3) ``corners``, adds to its intersection with the other box,
+    (K, 3) with the pair of each: its corners inside the other box, then
+    the crossings of its edges with the other box's face planes that lie
+    on the edge and inside the other box, in (pair, edge, plane) order.
     Only crossings that lie on their edge are tested against the other
-    box, and only kept ones are interpolated, so the temporaries stay
-    small."""
+    box, so the temporaries stay small.  Each candidate is placed from its
+    coordinates in the other box's frame, clipped to the box: one up to
+    the slack outside it moves onto it."""
     half = 0.5 * dims[:, None, :]
     limit = half + _PLANE_EPS
     local = (corners - center[:, None, :]) @ rotation
@@ -102,10 +102,10 @@ def _vertex_candidates(corners, center, rotation, dims):
              + np.take(p.reshape(-1, 3), edge, axis=0))
     inside = np.abs(point) <= np.take(limit[:, 0], pair, axis=0)
     keep = inside[:, 0] & inside[:, 1] & inside[:, 2]
-    t, edge, pair = t[keep, None], edge[keep], pair[keep]
-    ends = 8 * pair[:, None] + _EDGES[edge - 12 * pair]
-    start, stop = (np.take(corners.reshape(-1, 3), ends[:, k], axis=0) for k in (0, 1))
-    return corner_in, start + t * (stop - start), pair
+    pair = np.concatenate([np.nonzero(corner_in)[0], pair[keep]])
+    bound = np.take(half[:, 0], pair, axis=0)
+    local = np.clip(np.concatenate([local[corner_in], point[keep]]), -bound, bound)
+    return center[pair] + _in_frame(local, rotation[pair].transpose(0, 2, 1)), pair
 
 
 def _in_frame(offset, rotation) -> np.ndarray:
@@ -144,9 +144,10 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     plane), and then A u B is the one face and h_B - c h_A is 0 to
     rounding; or they may cross almost flat, and then a crease that
     rounding puts in slightly different places for A and B only moves
-    area between terms weighted by that small difference.  As the two
-    normals nearly agree, A u B is one polygon, star-shaped about its
-    centroid.
+    area between terms weighted by that small difference.  If B lies
+    outside A by up to twice the slack, the face's vertices on A lie within
+    the slack of B too, and the two swap roles.  As the two normals nearly
+    agree, A u B is one polygon, star-shaped about its centroid.
 
     Every sum over vertices is a ``bincount`` in vertex order and the
     polygon order breaks ties of angle by vertex order, so a pair's bits
@@ -169,11 +170,20 @@ def _intersection_volumes(vertices, pair, a, b) -> np.ndarray:
     cosine = (_PLANE_SIGN[:, None] * _PLANE_SIGN
               * _in_frame(ra.transpose(0, 2, 1), rb[:, None])[:, _PLANE_AXIS[:, None], _PLANE_AXIS])
     partner = cosine > np.cos(_PARALLEL)
-    heights[:, 6:] -= np.sum(np.where(partner, cosine * heights[:, :6, None], 0.0), axis=1)
-    # a face of a takes the flag of its one partner, if it has one, and
-    # else its own again
-    mate = np.where(partner.any(axis=2), 6 + partner.argmax(axis=2), np.arange(6))
-    on[:6] |= np.take(on, np.take(mate.T * n, pair, axis=1) + np.arange(n))
+    # each face of a's partner in b, if any, and the gap it lies outside a's
+    # face by; the face that takes the polygon of both takes both's flags
+    has, mate = partner.any(axis=2), partner.argmax(axis=2)
+    k = np.arange(len(mate))[:, None]
+    c, h = cosine[k, np.arange(6), mate], heights[k, 6 + mate]
+    gap = h - c * heights[:, :6]
+    swap = has & (gap > 0.0) & (gap <= 2.0 * _PLANE_EPS)
+    heights[:, :6] -= np.where(swap, c * h, 0.0)
+    rows = np.repeat(np.arange(12)[None], len(mate), axis=0)
+    k, i = np.nonzero(has & ~swap)
+    heights[k, 6 + mate[k, i]], rows[k, i] = gap[k, i], 6 + mate[k, i]
+    k, i = np.nonzero(swap)
+    rows[k, 6 + mate[k, i]] = i
+    on |= np.take(on, np.take(rows.T * n, pair, axis=1) + np.arange(n))
     # (vertex, face) incidences, face-major; within a face, and so within
     # each polygon, in vertex order
     v = np.flatnonzero(on)
@@ -248,12 +258,11 @@ def _pair_ious(a, b, ia, ib) -> np.ndarray:
     ca, da, ra, cb, db, rb = ca[ia], da[ia], ra[ia], cb[ib], db[ib], rb[ib]
     corners_a, corners_b = corners_of(ca, da, ra), corners_of(cb, db, rb)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a_in_b, cross_a, pair_a = _vertex_candidates(corners_a, cb, rb, db)
-        b_in_a, cross_b, pair_b = _vertex_candidates(corners_b, ca, ra, da)
-    # within each pair: a's corners in b, b's corners in a, a's crossings,
-    # b's crossings; the volume reads only the order within a pair
-    vertices = np.concatenate([corners_a[a_in_b], corners_b[b_in_a], cross_a, cross_b])
-    pair = np.concatenate([np.nonzero(a_in_b)[0], np.nonzero(b_in_a)[0], pair_a, pair_b])
+        vertices_a, pair_a = _vertex_candidates(corners_a, cb, rb, db)
+        vertices_b, pair_b = _vertex_candidates(corners_b, ca, ra, da)
+    # a's candidates, then b's; the volume reads only the order within a pair
+    vertices = np.concatenate([vertices_a, vertices_b])
+    pair = np.concatenate([pair_a, pair_b])
     inter = _intersection_volumes(vertices, pair, (ca, da, ra), (cb, db, rb))
     va, vb = vol_a[near], vol_b[near]
     # a flat intersection may sum to a rounding error below zero; the

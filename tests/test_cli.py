@@ -914,13 +914,12 @@ class TestUnifyProjectReadersUnderMutation:
             with redirect_stdout(stdout), redirect_stderr(stderr):
                 code = main(argv + ["--out", str(out), "--stats", str(stats)])
         assert [str(w.message) for w in caught] == []
-        assert code in (0, 1, 2)
         if code == 0:
             assert stderr.getvalue() == "" and out.exists() and stats.exists()
             return
-        if code == 2:
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bevkit: "), lines
         assert stdout.getvalue() == "" and not out.exists() and not stats.exists()
 
 
