@@ -380,11 +380,10 @@ class TestSharedFacePlanes:
     @example(pair=(Box3D([0.0, 0.0, 0.0], [0.25, 1.0, 1.0], np.diag([-1.0, -1.0, 1.0])),
                    Box3D([5e-13, 0.0, 0.0], [0.25, 1.0, 1.0], np.diag([-1.0, -1.0, 1.0]))))
     def test_matches_halfspace_oracle(self, pair):
-        # the examples, a cube moved 1e-12 off its copy's top face plane and
-        # a slab moved 5e-13 across its copy, read 2e-12 and 4e-12 off while
-        # vertices admitted within the slack outside a box stayed there, and
-        # the slab 1.3e-12 off while the outer of two faces that close took
-        # the correction
+        # the examples put a face of a cube 1e-12 m and of a slab 5e-13 m
+        # outside its copy's: within the slack, where a vertex outside the
+        # other box must move onto it and the outer face must not take the
+        # correction
         a, b = pair
         expected = halfspace_iou3d(a, b)
         assume(expected is not None)
@@ -405,9 +404,8 @@ class TestSharedFacePlanes:
                    Box3D([0.0, 1.3, 2.0], [1.0, 1.0, 1.0], yaw_rotation(1e-12))))
     def test_turned_pairs_match_halfspace_oracle(self, pair):
         # the oracle cannot measure a thin overlap, so only overlaps it sees;
-        # the example, a cube and its copy yawed by 1e-12 rad, read
-        # 1.00009e-12 off while vertices admitted within the slack outside
-        # a box stayed where they were
+        # in the example, a cube and its copy yawed by 1e-12 rad, corners
+        # lie within the slack outside the other box
         a, b = pair
         expected = halfspace_iou3d(a, b)
         assume(expected is not None)
